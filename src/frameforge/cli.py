@@ -9,7 +9,9 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input,
 3 I/O error.  Identical config and seed produce byte-identical JSON
 output when timestamps are suppressed; randomness is drawn from per-step
 streams derived from the single seed and a fixed step label.  The
-environment variable ``FRAME_FORGE_THREADS`` caps BLAS-level parallelism.
+environment variable ``FRAME_FORGE_THREADS`` limits BLAS threads through
+``threadpoolctl``; a value that is not a positive integer, or any value
+when ``threadpoolctl`` is not installed, exits 2.
 """
 
 from __future__ import annotations
@@ -317,12 +319,10 @@ def _report_steps(cfg: dict, out: Path, seed: int) -> dict:
     def run(name, fn):
         try:
             steps[name] = fn()
-        except np.linalg.LinAlgError as err:
+        except frames.IncompatibleWeight as err:
+            steps[name] = {"status": "rejected", "error": str(err)}
+        except ValueError as err:  # np.linalg.LinAlgError included
             steps[name] = {"status": "fail", "error": str(err)}
-        except ValueError as err:
-            msg = str(err)
-            status = "rejected" if "incompatible weight" in msg else "fail"
-            steps[name] = {"status": status, "error": msg}
 
     def chain():
         rep = envelopes.check_implication_chain(system.coeffs, float(cfg.get("gamma", 2.0)))
@@ -338,7 +338,7 @@ def _report_steps(cfg: dict, out: Path, seed: int) -> dict:
 
     def schur():
         bound = envelopes.schur_bound(system.coeffs, 2)
-        spectral = frames.spectral_norm(system.matrix)
+        spectral = float(system.singular_values[0])
         ok = bound >= spectral - 1e-10
         return {
             "status": "pass" if ok else "fail",
@@ -448,19 +448,21 @@ def cmd_report(cfg: dict, out: Path, args) -> int:
 
 
 def _thread_limiter():
+    """BLAS thread limit from ``FRAME_FORGE_THREADS``; applied or rejected, never ignored."""
     raw = os.environ.get("FRAME_FORGE_THREADS")
     if not raw:
         return contextlib.nullcontext()
     try:
         limit = int(raw)
     except ValueError:
-        return contextlib.nullcontext()
+        limit = 0
+    if limit < 1:
+        raise InvalidInput(f"FRAME_FORGE_THREADS must be a positive integer, got {raw!r}")
     try:
         from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=limit)
-    except ImportError:
-        return contextlib.nullcontext()
+    except ImportError as err:
+        raise InvalidInput("FRAME_FORGE_THREADS is set but threadpoolctl is not installed") from err
+    return threadpool_limits(limits=limit)
 
 
 def main(argv=None) -> int:

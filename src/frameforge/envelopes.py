@@ -40,6 +40,7 @@ __all__ = [
     "DecayEnvelope",
     "DecayFit",
     "ImplicationChainReport",
+    "InsufficientDecayData",
     "TruncatedMatrix",
     "apply_matrix",
     "check_implication_chain",
@@ -229,13 +230,7 @@ def membership_constant(a: TruncatedMatrix, env: DecayEnvelope) -> float:
     The envelope's own constants are ignored (set to 1), so the return
     value is directly comparable across matrices.
     """
-    w = a.window
-    sub = np.abs(a.entries[w, w])
-    if sub.size == 0:
-        raise ValueError("interior window is empty")
-    mm, nn = _window_grid(a)
-    vals = envelope_value(env.unit(), mm, nn)
-    return _max_ratio(sub, vals)
+    return envelope_excess(a, env.unit())
 
 
 def envelope_excess(a: TruncatedMatrix, env: DecayEnvelope) -> float:
@@ -250,6 +245,10 @@ def envelope_excess(a: TruncatedMatrix, env: DecayEnvelope) -> float:
     mm, nn = _window_grid(a)
     vals = envelope_value(env, mm, nn)
     return _max_ratio(sub, vals)
+
+
+class InsufficientDecayData(ValueError):
+    """Fewer than 3 populated anti-diagonals: too little data to fit a rate."""
 
 
 @dataclass(frozen=True)
@@ -280,7 +279,16 @@ def _antidiagonal_maxima(a: TruncatedMatrix, margin: int | None):
     return np.asarray(ds, dtype=float), np.asarray(maxima, dtype=float), diag_max
 
 
-def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
+def _fit_antidiagonals(a: TruncatedMatrix, margin: int | None, abscissa) -> DecayFit:
+    # regress log anti-diagonal maxima on abscissa(distance)
+    if a.n < 16:
+        raise ValueError("need N >= 16 to fit a decay profile")
+    ds, maxima, diag_max = _antidiagonal_maxima(a, margin)
+    if ds.size == 0:
+        return DecayFit(gamma=math.inf, c=diag_max, residual=0.0)
+    if ds.size < 3:
+        raise InsufficientDecayData("fewer than 3 usable anti-diagonals")
+    x, y = abscissa(ds), np.log(maxima)
     design = np.column_stack([x, np.ones_like(x)])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     slope, intercept = sol
@@ -296,30 +304,16 @@ def fit_decay(a: TruncatedMatrix, beta: float, margin: int | None = None) -> Dec
     maximum is below 1e-300.  A matrix with no off-diagonal mass at all is
     reported with the +inf sentinel rate (it decays faster than any
     envelope of this form); one with fewer than 3 populated anti-diagonals
-    carries too little data to fit and raises instead.
+    carries too little data to fit and raises InsufficientDecayData.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if a.n < 16:
-        raise ValueError("need N >= 16 to fit a decay profile")
-    ds, maxima, diag_max = _antidiagonal_maxima(a, margin)
-    if ds.size == 0:
-        return DecayFit(gamma=math.inf, c=diag_max, residual=0.0)
-    if ds.size < 3:
-        raise ValueError("fewer than 3 usable anti-diagonals")
-    return _log_linear_fit(ds ** beta, np.log(maxima))
+    return _fit_antidiagonals(a, margin, lambda d: d ** beta)
 
 
 def fit_poly_decay(a: TruncatedMatrix, margin: int | None = None) -> DecayFit:
     """Fit |A[m,n]| ~ C (1 + |m-n|)^(-gamma); same protocol as fit_decay."""
-    if a.n < 16:
-        raise ValueError("need N >= 16 to fit a decay profile")
-    ds, maxima, diag_max = _antidiagonal_maxima(a, margin)
-    if ds.size == 0:
-        return DecayFit(gamma=math.inf, c=diag_max, residual=0.0)
-    if ds.size < 3:
-        raise ValueError("fewer than 3 usable anti-diagonals")
-    return _log_linear_fit(np.log1p(ds), np.log(maxima))
+    return _fit_antidiagonals(a, margin, np.log1p)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 from .envelopes import (
     DecayEnvelope,
     DecayFit,
+    InsufficientDecayData,
     TruncatedMatrix,
     fit_decay,
     fit_poly_decay,
@@ -36,6 +37,7 @@ __all__ = [
     "DualLocalizationReport",
     "ExampleInequalityReport",
     "FrameSystem",
+    "IncompatibleWeight",
     "InverseDecayReport",
     "JaffardReport",
     "OperatorNormReport",
@@ -57,16 +59,18 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
-_SVD_CUTOVER = 256
-_POWER_TOL = 1e-10
+
+
+class IncompatibleWeight(ValueError):
+    """The weight grows too fast for the system's localization order."""
 
 
 class FrameSystem:
     """A truncated frame given by its coefficient matrix against the ONB.
 
     Row m holds the Hermite coefficients of the m-th frame element.
-    Factorizations are computed lazily and cached; instances are treated
-    as immutable after construction.
+    The singular values and the canonical dual are computed lazily, once
+    per system; instances are treated as immutable after construction.
     """
 
     def __init__(self, coeffs, label: str = ""):
@@ -86,6 +90,17 @@ class FrameSystem:
     @cached_property
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.matrix, compute_uv=False)
+
+    @cached_property
+    def canonical_dual(self) -> "FrameSystem":
+        if self.singular_values[-1] <= RANK_TOL:
+            raise np.linalg.LinAlgError("frame operator is rank-deficient at this truncation")
+        gram = self.matrix.conj().T @ self.matrix  # transpose of the frame operator matrix
+        dual = np.linalg.solve(gram, self.matrix.conj().T).conj().T
+        return FrameSystem(
+            TruncatedMatrix(dual, margin=self.coeffs.margin),
+            label=f"dual({self.label})" if self.label else "dual",
+        )
 
     def __repr__(self):
         tag = f" {self.label!r}" if self.label else ""
@@ -131,15 +146,11 @@ def frame_operator(e: FrameSystem) -> TruncatedMatrix:
 
 
 def canonical_dual(e: FrameSystem) -> FrameSystem:
-    """The system with rows S^{-1} e_n; biorthogonal to E when E is a basis."""
-    if e.singular_values[-1] <= RANK_TOL:
-        raise np.linalg.LinAlgError("frame operator is rank-deficient at this truncation")
-    gram = e.matrix.conj().T @ e.matrix  # transpose of the frame operator matrix
-    dual = np.linalg.solve(gram, e.matrix.conj().T).conj().T
-    return FrameSystem(
-        TruncatedMatrix(dual, margin=e.coeffs.margin),
-        label=f"dual({e.label})" if e.label else "dual",
-    )
+    """The system with rows S^{-1} e_n; biorthogonal to E when E is a basis.
+
+    Solved once per system: repeated calls return the same cached object.
+    """
+    return e.canonical_dual
 
 
 @dataclass(frozen=True)
@@ -166,10 +177,8 @@ def dual_localization_check(
             if poly:
                 return fit_poly_decay(system.coeffs)
             return fit_decay(system.coeffs, beta)
-        except ValueError as err:
-            if "anti-diagonals" in str(err):
-                return DecayFit(gamma=math.inf, c=float(np.max(np.abs(system.matrix))), residual=0.0)
-            raise
+        except InsufficientDecayData:
+            return DecayFit(gamma=math.inf, c=float(np.max(np.abs(system.matrix))), residual=0.0)
 
     return DualLocalizationReport(primal=_fit(e), dual=_fit(dual))
 
@@ -294,33 +303,9 @@ def verify_example_inequalities(
     )
 
 
-def spectral_norm(m: np.ndarray, tol: float = _POWER_TOL) -> float:
-    """Largest singular value; full SVD below N=256, power iteration above.
-
-    The power iteration runs on M^H M from a fixed seeded start vector,
-    stops when successive estimates agree to ``tol`` and is capped at
-    10*N steps, so results are deterministic.
-    """
-    m = np.asarray(m)
-    n = min(m.shape)
-    if n < _SVD_CUTOVER:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    b = m.conj().T @ m
-    rng = np.random.default_rng(0xF0F0)
-    v = rng.standard_normal(b.shape[0])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(10 * b.shape[0]):
-        w = b @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        new_est = math.sqrt(norm_w)
-        v = w / norm_w
-        if abs(new_est - est) <= tol * max(1.0, new_est):
-            return new_est
-        est = new_est
-    return est
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value, from an SVD without singular vectors."""
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -386,14 +371,17 @@ def jaffard_predict(
     if not 0.0 < gpp < gp:
         raise ValueError("gamma_dprime must lie in (0, gamma_prime)")
 
-    if np.linalg.svd(a.entries, compute_uv=False)[-1] <= RANK_TOL:
+    s = np.linalg.svd(a.entries, compute_uv=False)
+    if s[-1] <= RANK_TOL:
         raise np.linalg.LinAlgError("matrix is singular at truncation")
     c_class = membership_constant(a, DecayEnvelope("jaffard", gamma=gamma, beta=beta))
     if not math.isfinite(c_class):
         raise ValueError("matrix does not satisfy the declared decay class on the window")
     aas = a.entries @ a.entries.conj().T
-    norm_aas = spectral_norm(aas)
-    r = spectral_norm(np.eye(a.n) - aas / norm_aas)
+    # AA* has eigenvalues s_k^2, so ||AA*|| = s_max^2 and the contraction
+    # Id - AA*/||AA*|| has norm 1 - (s_min/s_max)^2.
+    norm_aas = float(s[0] ** 2)
+    r = 1.0 - float((s[-1] / s[0]) ** 2)
     if r >= 1.0:
         raise np.linalg.LinAlgError("matrix is singular at truncation")
     c_aas = membership_constant(
@@ -485,13 +473,10 @@ def weighted_operator_norms(
     ratio doubles as an invertibility proxy.
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:
-        raise ValueError("incompatible weight: weight order must be below the localization order")
+        raise IncompatibleWeight("incompatible weight: weight order must be below the localization order")
     try:
-        fit = fit_decay(e.coeffs, loc_beta)
-        localized = fit.gamma > 0
-    except ValueError as err:
-        if "anti-diagonals" not in str(err):
-            raise
+        localized = fit_decay(e.coeffs, loc_beta).gamma > 0
+    except InsufficientDecayData:
         localized = True  # banded cross-Gram decays faster than any rate
     if not localized:
         raise ValueError("system is not localized; weighted bounds do not apply")

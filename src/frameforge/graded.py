@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc, logsumexp
+from scipy.special import logsumexp
 
+from .envelopes import _subexp_tail_integral
 from .frames import FrameSystem, analysis, canonical_dual
 from .hermite import HermiteContext, TestFunction, classify_coefficient_decay, project
 from .weights import as_sequence
@@ -213,11 +213,6 @@ class PairingResult:
 def _poly_tail_integral(s: float, n: int) -> float:
     # sum_{m > n} m^-s <= integral_n^inf x^-s dx, s > 1
     return n ** (1.0 - s) / (s - 1.0)
-
-
-def _subexp_tail_integral(rate: float, beta: float, n: int) -> float:
-    s = 1.0 / beta
-    return float(_gamma_fn(s) / (beta * rate ** s) * gammaincc(s, rate * n ** beta))
 
 
 def pair_distribution(

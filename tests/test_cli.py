@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def test_gen_invalid_spec_exit_2(tmp_path, capsys):
     )
     assert main(["gen", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "exceeds eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("two", "positive integer"), ("0", "positive integer"), ("1", "threadpoolctl is not installed")],
+)
+def test_frame_forge_threads_never_silently_ignored(tmp_path, capsys, monkeypatch, value, message):
+    cfg = write_config(tmp_path, "fit.json", {"matrix": jaffard_csv(tmp_path, 32, 0.7)})
+    monkeypatch.setenv("FRAME_FORGE_THREADS", value)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # makes the import fail
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_fit_exponential_matrix(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from frameforge.envelopes import (
     DecayEnvelope,
+    InsufficientDecayData,
     TruncatedMatrix,
     apply_matrix,
     check_implication_chain,
@@ -190,7 +191,7 @@ def test_fit_decay_identity_sentinel():
 
 def test_fit_decay_banded_raises():
     a = TruncatedMatrix(np.eye(64) + 0.5 * np.eye(64, k=1))
-    with pytest.raises(ValueError, match="anti-diagonals"):
+    with pytest.raises(InsufficientDecayData, match="anti-diagonals"):
         fit_decay(a, 1.0)
 
 

@@ -149,6 +149,7 @@ def test_canonical_dual_of_onb_is_onb():
 def test_canonical_dual_biorthogonality():
     system = perturbed(128)
     d = canonical_dual(system)
+    assert canonical_dual(system) is d  # solved once per system
     g = cross_gram(d, system).entries
     assert np.max(np.abs(g - np.eye(128))) < 1e-8
 
@@ -278,21 +279,25 @@ def test_example_adversarial_first_basis_vector():
 # ------------------------------------------------------------ spectral norms
 
 
-def test_spectral_norm_small_matches_svd():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((60, 60))
-    assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-12)
-
-
-def test_spectral_norm_power_iteration_path():
+def _rank_one_dominated(n):
     rng = np.random.default_rng(6)
-    n = 300
     u = rng.standard_normal(n)
     v = rng.standard_normal(n)
-    m = rng.standard_normal((n, n)) / n + 3.0 * np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
-    got = spectral_norm(m)
-    ref = np.linalg.svd(m, compute_uv=False)[0]
-    assert got == pytest.approx(ref, rel=1e-8)
+    return rng.standard_normal((n, n)) / n + 3.0 * np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: np.random.default_rng(5).standard_normal((60, 60)), id="random-60"),
+        pytest.param(lambda: _rank_one_dominated(300), id="rank-one-300"),
+        # no spectral gap: the top singular values of I + 0.5 S crowd near 1.5
+        pytest.param(lambda: np.eye(300) + 0.5 * np.eye(300, k=1), id="gapless-shift-300"),
+    ],
+)
+def test_spectral_norm_matches_svd(build):
+    m = build()
+    assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-12)
 
 
 # ------------------------------------------------------------------- jaffard
@@ -318,9 +323,15 @@ def test_jaffard_diagonal_scaling_trivial():
 
 
 def test_jaffard_tridiagonal_pipeline():
-    a = tridiagonal(300, margin=32)
+    n = 300
+    a = tridiagonal(n, margin=32)
     gamma = math.log(1 / 0.3)
     rep = jaffard_predict(a, beta=1.0, gamma=gamma)
+    # eigenvalues of the symmetric Toeplitz band: 1 + 0.6 cos(k pi / (N+1)), k = 1..N
+    lam_max = 1.0 + 0.6 * math.cos(math.pi / (n + 1))
+    lam_min = 1.0 + 0.6 * math.cos(n * math.pi / (n + 1))
+    assert rep.norm_aas == pytest.approx(lam_max ** 2, rel=1e-12)
+    assert rep.r_contraction == pytest.approx(1.0 - (lam_min / lam_max) ** 2, rel=1e-12)
     assert 0 < rep.r_contraction < 1
     assert 0 < rep.gamma1_pred < rep.gamma_prime
     assert rep.c_class == pytest.approx(1.0, rel=1e-12)

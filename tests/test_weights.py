@@ -6,7 +6,6 @@ import pytest
 from frameforge.weights import (
     Weight,
     eval_weight,
-    kahan_sum,
     sup_graded_norm,
     verify_weight_admissibility,
     weighted_norm,
@@ -171,9 +170,10 @@ def test_sup_graded_norm_rejects_negative_level():
         sup_graded_norm(np.ones(4), "poly", -1)
 
 
-def test_kahan_sum_beats_naive_on_adversarial_input():
-    vals = np.array([1e16, 1.0, -1e16, 1.0] * 100)
-    assert kahan_sum(vals) == 200.0
+def test_weighted_norm_sum_is_not_absorbed_by_a_large_term():
+    # naive left-to-right summation returns exactly 1: each 2^-53 rounds away
+    vals = np.array([1.0] + [2.0 ** -53] * 4096)
+    assert weighted_norm(vals, Weight("moderate"), 1) == pytest.approx(1.0 + 2.0 ** -41, rel=1e-14)
 
 
 def test_as_sequence_rejects_nonfinite():
