@@ -6,12 +6,16 @@ Usage::
                 --config <path> [--out <dir>] [--seed <u64>] [--no-timestamp]
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input,
-3 I/O error.  Identical config and seed produce byte-identical JSON
-output when timestamps are suppressed; randomness is drawn from per-step
-streams derived from the single seed and a fixed step label.  The
-environment variable ``FRAME_FORGE_THREADS`` limits BLAS threads through
-``threadpoolctl``; a value that is not a positive integer, or any value
-when ``threadpoolctl`` is not installed, exits 2.
+3 I/O error.  A malformed config value exits 2, in ``report`` too.
+``report`` runs the same step functions as ``schur``, ``expand`` and
+``fframe``, so each check has one verdict: ``expand`` fails on a
+non-monotone error curve, exactly as ``report`` does.  Identical config
+and seed produce byte-identical JSON output when timestamps are
+suppressed; randomness is drawn from per-step streams derived from the
+single seed and a fixed step label.  The environment variable
+``FRAME_FORGE_THREADS`` limits BLAS threads through ``threadpoolctl``;
+a value that is not a positive integer, or any value when
+``threadpoolctl`` is not installed, exits 2.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import os
 import sys
 import zlib
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +43,7 @@ EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_IO = 3
 
-_COMMANDS = ("gen", "fit", "schur", "jaffard", "dual", "expand", "fframe", "report")
+_REQUIRED = object()
 
 
 class InvalidInput(Exception):
@@ -51,11 +56,6 @@ class IOFailure(Exception):
 
 class VerificationFailure(Exception):
     """Raised after outputs are written, to signal exit code 1."""
-
-
-def step_rng(seed: int, label: str) -> np.random.Generator:
-    """Deterministic per-step stream derived from one seed and a label."""
-    return np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())])
 
 
 def _sanitize(obj):
@@ -79,6 +79,14 @@ def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: Path, header: list, rows) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -93,358 +101,307 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise InvalidInput(f"config is missing required field {key!r}")
-    return cfg[key]
+def _numbers(value) -> list:
+    """A list of numbers, returned as given because outputs echo its entries."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    for x in value:
+        float(x)
+    return value
 
 
-def _load_matrix(path: str) -> envelopes.TruncatedMatrix:
+def _one_of(*allowed):
+    def convert(value):
+        # Compared with their types, so that 0 and 1 are not taken for booleans.
+        if not any(type(value) is type(a) and value == a for a in allowed):
+            raise ValueError(f"expected one of {allowed}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _test_function(desc) -> TestFunction:
     try:
-        return matio.load_matrix(path)
-    except FileNotFoundError as err:
-        raise IOFailure(f"matrix file not found: {path}") from err
-    except (ValueError, OSError) as err:
-        raise IOFailure(f"cannot read matrix {path}: {err}") from err
+        return TestFunction.from_json(desc)
+    except (AttributeError, KeyError, ValueError) as err:
+        raise InvalidInput(f"bad test function descriptor: {err}") from err
 
 
-def _build_system(cfg: dict) -> tuple[frames.FrameSystem, frames.PerturbationSpec | None]:
-    if "matrix" in cfg:
-        mat = _load_matrix(cfg["matrix"])
-        if "margin" in cfg:
-            mat = envelopes.TruncatedMatrix(mat.entries, margin=int(cfg["margin"]))
-        return frames.FrameSystem(mat, label=cfg.get("label", "")), None
-    if "spec" in cfg:
-        n = int(_require(cfg, "n"))
+class Invocation:
+    """One run of a subcommand: its config, output directory and arguments.
+
+    Config fields are read through ``get``, the one place that turns a
+    missing or malformed value into ``InvalidInput``.  The inputs that
+    several steps share (the frame system, the seed and the Hermite
+    context) are built on first use, once per invocation.
+    """
+
+    def __init__(self, cfg: dict, out: Path, args: argparse.Namespace):
+        self.cfg, self.out, self.args = cfg, out, args
+
+    def get(self, key: str, convert, default=_REQUIRED):
+        """Field ``key`` passed through ``convert``, or ``default`` as given when absent."""
+        if key not in self.cfg:
+            if default is _REQUIRED:
+                raise InvalidInput(f"config is missing required field {key!r}")
+            return default
+        try:
+            return convert(self.cfg[key])
+        except (TypeError, ValueError) as err:
+            raise InvalidInput(f"bad config field {key!r}: {err}") from err
+
+    def _with_margin(self, a: envelopes.TruncatedMatrix) -> envelopes.TruncatedMatrix:
+        if "margin" not in self.cfg:
+            return a
+        return envelopes.TruncatedMatrix(a.entries, margin=self.get("margin", int))
+
+    @cached_property
+    def matrix(self) -> envelopes.TruncatedMatrix:
+        """The required stored ``matrix``, with the ``margin`` override."""
+        path = self.get("matrix", str)
+        try:
+            a = matio.load_matrix(path)
+        except FileNotFoundError as err:
+            raise IOFailure(f"matrix file not found: {path}") from err
+        except (ValueError, OSError) as err:
+            raise IOFailure(f"cannot read matrix {path}: {err}") from err
+        return self._with_margin(a)
+
+    @cached_property
+    def perturbed(self) -> tuple[frames.PerturbationSpec, frames.FrameSystem, int]:
+        """The required ``spec`` at truncation ``n``, its system and the dropped shift terms."""
+        n = self.get("n", int)
         if n < 16:
             raise InvalidInput("truncation n must be at least 16")
-        try:
-            spec = matio.parse_perturbation_spec(cfg["spec"], n)
-            system, _ = frames.build_perturbed_basis(spec, n)
-        except ValueError as err:
-            raise InvalidInput(str(err)) from err
-        if "margin" in cfg:
-            system = frames.FrameSystem(
-                envelopes.TruncatedMatrix(system.matrix, margin=int(cfg["margin"])),
-                label=cfg.get("label", system.label),
-            )
-        return system, spec
-    raise InvalidInput("config must provide either 'matrix' or 'spec'")
-
-
-def _seed_from(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    raise InvalidInput("seed required: pass --seed or put 'seed' in the config")
-
-
-def cmd_gen(cfg: dict, out: Path, args) -> int:
-    n = int(_require(cfg, "n"))
-    if n < 16:
-        raise InvalidInput("truncation n must be at least 16")
-    try:
-        spec = matio.parse_perturbation_spec(_require(cfg, "spec"), n)
+        spec = matio.parse_perturbation_spec(self.get("spec", dict), n)
         system, dropped = frames.build_perturbed_basis(spec, n)
-    except ValueError as err:
-        raise InvalidInput(str(err)) from err
-    label = cfg.get("label", "system")
-    if "margin" in cfg:
-        system = frames.FrameSystem(
-            envelopes.TruncatedMatrix(system.matrix, margin=int(cfg["margin"])), label=label
-        )
-    else:
-        system = frames.FrameSystem(system.coeffs, label=label)
-    binary = cfg.get("format", "csv") == "binary"
-    path = out / (label + (".ffmx" if binary else ".csv"))
-    matio.save_frame_system(path, system, binary=binary)
-    print(f"wrote {path} (n={n}, dropped shift terms: {dropped})")
-    return EXIT_OK
+        return spec, frames.FrameSystem(self._with_margin(system.coeffs)), dropped
+
+    @cached_property
+    def system(self) -> frames.FrameSystem:
+        if "matrix" in self.cfg:
+            return frames.FrameSystem(self.matrix)
+        if "spec" in self.cfg:
+            return self.perturbed[1]
+        raise InvalidInput("config must provide either 'matrix' or 'spec'")
+
+    @cached_property
+    def seed(self) -> int:
+        if self.args.seed is not None:
+            return self.args.seed
+        if "seed" not in self.cfg:
+            raise InvalidInput("seed required: pass --seed or put 'seed' in the config")
+        return self.get("seed", int)
+
+    @cached_property
+    def hermite(self) -> HermiteContext:
+        return HermiteContext(nmax=self.system.n)
+
+    def step_seed(self, label: str) -> int:
+        """Seed for one step, drawn from a stream fixed by the run's seed and the step label."""
+        rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())])
+        return int(rng.integers(0, 2 ** 32))
+
+    def grading(self) -> tuple[str, float]:
+        """The graded-norm ``family`` and its ``beta``."""
+        return self.get("family", _one_of(*graded._FAMILIES), "poly"), self.get("beta", float, 1.0)
 
 
-def cmd_fit(cfg: dict, out: Path, args) -> int:
-    a = _load_matrix(_require(cfg, "matrix"))
-    betas = cfg.get("betas", [1.0])
-    margin = cfg.get("margin")
-    rows = []
-    for beta in betas:
-        try:
-            fit = envelopes.fit_decay(a, float(beta), margin=margin)
-        except ValueError as err:
-            raise InvalidInput(str(err)) from err
-        rows.append((beta, fit.gamma, fit.c, fit.residual))
-    path = out / "fit.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "gamma_fit", "c_fit", "residual"])
-        for beta, g, c, resid in rows:
-            writer.writerow([beta, "inf" if math.isinf(g) else repr(g), repr(c), repr(resid)])
+def _result(ok, **values) -> dict:
+    """A step's dict; a step that raises ValueError failed, one that raises InvalidInput exits 2."""
+    return {"status": "pass" if ok else "fail", **values}
+
+
+def step_envelope_chain(inv: Invocation) -> dict:
+    rep = envelopes.check_implication_chain(inv.system.coeffs, inv.get("gamma", float, 2.0))
+    constants = {"star": rep.star, "dstar": rep.dstar, "tstar": rep.tstar}
+    diverges = {"star": rep.star_diverges, "dstar": rep.dstar_diverges, "tstar": rep.tstar_diverges}
+    return _result(True, constants=constants, diverges=diverges)
+
+
+def step_schur(inv: Invocation, p: float = 2.0) -> dict:
+    """Schur bound against sigma_max; at p = 2 the bound must dominate it."""
+    bound = envelopes.schur_bound(inv.system.coeffs, p)
+    spectral = float(inv.system.singular_values[0])
+    return _result(p != 2 or bound >= spectral - 1e-10, schur_bound=bound, spectral_norm=spectral)
+
+
+def step_frame_bounds(inv: Invocation) -> dict:
+    a, b = frames.frame_bounds(inv.system)
+    return _result(0.0 < a <= b < math.inf, lower=a, upper=b)
+
+
+def step_dual_biorthogonality(inv: Invocation) -> dict:
+    system = inv.system
+    gram = frames.cross_gram(frames.canonical_dual(system), system).entries
+    dev = float(np.max(np.abs(gram - np.eye(system.n))))
+    return _result(dev < 1e-8, max_deviation=dev)
+
+
+def step_example_inequalities(inv: Invocation) -> dict:
+    if "matrix" in inv.cfg:
+        return {"status": "skipped", "reason": "system not built from a perturbation spec"}
+    trials = inv.get("trials", int, 1000)
+    rep = frames.verify_example_inequalities(inv.perturbed[0], inv.system.n, trials, seed=inv.step_seed("example"))
+    return _result(rep.all_hold, contraction_max=rep.contraction_max, upper_max=rep.upper_max,
+                   lower_min=rep.lower_min)
+
+
+def step_expansion(inv: Invocation, f: TestFunction | None = None, checkpoints=None) -> dict:
+    """Expansion error curves of ``f``, one per level, written to ``expansion.csv``.
+
+    ``f`` defaults to exp(-3x^2/2).  A curve passes when it is non-increasing
+    and, if its last checkpoint is N, ends below 1e-8 (finite-rank exactness).
+    """
+    system = inv.system
+    family, beta = inv.grading()
+    levels = inv.get("levels", _numbers, [0, 1, 2, 3, 4])
+    checkpoints = checkpoints or sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
+    coeffs = project(inv.hermite, f or TestFunction.gaussian(3.0), system.n)
+    curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
+              for k in levels]
+    rows = ([m, k, repr(float(err))] for k, errs in curves for m, err in zip(checkpoints, errs))
+    path = _write_csv(inv.out / "expansion.csv", ["M", "k", "error"], rows)
+    exact = checkpoints[-1] != system.n or all(errs[-1] < 1e-8 for _, errs in curves)
+    ok = exact and all(np.all(np.diff(errs) <= 1e-10) for _, errs in curves)
+    return _result(ok, csv=path.name)
+
+
+def step_fframe(inv: Invocation) -> dict:
+    """Graded frame intervals per level; each must be positive and finite."""
+    rng_seed = inv.step_seed("fframe")
+    family, beta = inv.grading()
+    levels = inv.get("levels", _numbers, list(range(11)))
+    count = inv.get("samples", int, 20)
+    samples = graded.standard_sample_set(inv.hermite, inv.system.n, count=count, seed=rng_seed)
+    intervals = {}
+    for k in levels:
+        lo, hi = graded.fframe_bounds_estimate(inv.system, samples, family, float(k), beta=beta)
+        intervals[str(k)] = {"lower": lo, "upper": hi}
+    ok = all(0.0 < iv["lower"] <= iv["upper"] < math.inf for iv in intervals.values())
+    return _result(ok, intervals=intervals)
+
+
+def step_weighted_norms(inv: Invocation) -> dict:
+    if "weight" not in inv.cfg:
+        return {"status": "skipped", "reason": "no weight configured"}
+    try:
+        w = Weight(**inv.cfg["weight"])
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"invalid weight: {err}") from err
+    p, trials = inv.get("p", float, 2.0), inv.get("trials", int, 200)
+    rep = frames.weighted_operator_norms(inv.system, w, p, trials=trials, seed=inv.step_seed("weighted"))
+    ok = rep.frame_op_min > 0 and math.isfinite(rep.analysis_max)
+    return _result(ok, analysis_max=rep.analysis_max, synthesis_max=rep.synthesis_max,
+                   frame_op_max=rep.frame_op_max, frame_op_min=rep.frame_op_min)
+
+
+# The Schur step runs at its default p = 2 here: in a report config
+# ``p`` is the exponent of the weighted norms.
+REPORT_STEPS = {
+    "envelope_chain": step_envelope_chain, "schur": step_schur, "frame_bounds": step_frame_bounds,
+    "dual_biorthogonality": step_dual_biorthogonality, "example_inequalities": step_example_inequalities,
+    "expansion": step_expansion, "fframe": step_fframe, "weighted_norms": step_weighted_norms,
+}
+
+
+def cmd_gen(inv: Invocation) -> None:
+    _, system, dropped = inv.perturbed
+    label = inv.get("label", str, "system")
+    binary = inv.get("format", _one_of("csv", "binary"), "csv") == "binary"
+    path = inv.out / (label + (".ffmx" if binary else ".csv"))
+    matio.save_frame_system(path, frames.FrameSystem(system.coeffs, label=label), binary=binary)
+    print(f"wrote {path} (n={system.n}, dropped shift terms: {dropped})")
+
+
+def cmd_fit(inv: Invocation) -> None:
+    a = inv.matrix
+    # Every beta is fitted before fit.csv is opened: a failed fit leaves no file.
+    fits = [(beta, envelopes.fit_decay(a, float(beta))) for beta in inv.get("betas", _numbers, [1.0])]
+    rows = [[b, "inf" if math.isinf(f.gamma) else repr(f.gamma), repr(f.c), repr(f.residual)] for b, f in fits]
+    path = _write_csv(inv.out / "fit.csv", ["beta", "gamma_fit", "c_fit", "residual"], rows)
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_schur(cfg: dict, out: Path, args) -> int:
-    a = _load_matrix(_require(cfg, "matrix"))
-    p = float(cfg.get("p", 2))
-    bound = envelopes.schur_bound(a, p)
-    spectral = frames.spectral_norm(a.entries)
-    ok = p != 2 or bound >= spectral - 1e-10
-    _write_json(
-        out / "schur.json",
-        {"p": p, "schur_bound": bound, "spectral_norm": spectral, "dominates_spectral": ok},
-    )
+def cmd_schur(inv: Invocation) -> None:
+    inv.matrix  # schur reads a stored matrix, never a spec
+    p = inv.get("p", float, 2.0)
+    step = step_schur(inv, p)
+    ok = step.pop("status") == "pass"
+    _write_json(inv.out / "schur.json", {"p": p, "dominates_spectral": ok, **step})
     if not ok:
         raise VerificationFailure("Schur bound fell below the spectral norm")
-    return EXIT_OK
 
 
-def cmd_jaffard(cfg: dict, out: Path, args) -> int:
-    a = _load_matrix(_require(cfg, "matrix"))
-    if "margin" in cfg:
-        a = envelopes.TruncatedMatrix(a.entries, margin=int(cfg["margin"]))
-    beta = float(_require(cfg, "beta"))
-    gamma = float(_require(cfg, "gamma"))
-    try:
-        report = frames.jaffard_predict(
-            a,
-            beta,
-            gamma,
-            gamma_prime=cfg.get("gamma_prime"),
-            gamma_dprime=cfg.get("gamma_dprime"),
-            eps_free=cfg.get("eps_free", 0.5),
-        )
-    except np.linalg.LinAlgError as err:
-        raise InvalidInput(f"singular at truncation: {err}") from err
-    except ValueError as err:
-        raise InvalidInput(str(err)) from err
-    check = frames.verify_inverse_decay(a, report)
-    _write_json(
-        out / "jaffard.json",
-        {
-            "report": report.to_json(),
-            "violations": check.violations,
-            "checked": check.checked,
-            "gamma_fit_inverse": check.gamma_fit_inverse,
-        },
+def cmd_jaffard(inv: Invocation) -> None:
+    a = inv.matrix
+    report = frames.jaffard_predict(
+        a, inv.get("beta", float), inv.get("gamma", float), gamma_prime=inv.get("gamma_prime", float, None),
+        gamma_dprime=inv.get("gamma_dprime", float, None), eps_free=inv.get("eps_free", float, 0.5),
     )
+    check = frames.verify_inverse_decay(a, report)
+    _write_json(inv.out / "jaffard.json", {
+        "report": report.to_json(), "violations": check.violations,
+        "checked": check.checked, "gamma_fit_inverse": check.gamma_fit_inverse,
+    })
     if check.violations:
         raise VerificationFailure(f"{check.violations} inverse-decay violations")
-    return EXIT_OK
 
 
-def cmd_dual(cfg: dict, out: Path, args) -> int:
-    system, _ = _build_system(cfg)
-    poly = bool(cfg.get("poly", False))
-    beta = float(cfg.get("beta", 1.0))
-    try:
-        rep = frames.dual_localization_check(system, beta=beta, poly=poly)
-    except np.linalg.LinAlgError as err:
-        raise InvalidInput(f"singular at truncation: {err}") from err
-    _write_json(
-        out / "dual.json",
-        {
-            "poly": poly,
-            "beta": beta,
-            "primal": {"gamma": rep.primal.gamma, "c": rep.primal.c, "residual": rep.primal.residual},
-            "dual": {"gamma": rep.dual.gamma, "c": rep.dual.c, "residual": rep.dual.residual},
-        },
-    )
+def cmd_dual(inv: Invocation) -> None:
+    system = inv.system
+    poly, beta = inv.get("poly", _one_of(False, True), False), inv.get("beta", float, 1.0)
+    rep = frames.dual_localization_check(system, beta=beta, poly=poly)
+    _write_json(inv.out / "dual.json", {
+        "poly": poly, "beta": beta,
+        "primal": {"gamma": rep.primal.gamma, "c": rep.primal.c, "residual": rep.primal.residual},
+        "dual": {"gamma": rep.dual.gamma, "c": rep.dual.c, "residual": rep.dual.residual},
+    })
     if not rep.dual.gamma > 0:
         raise VerificationFailure("canonical dual shows no off-diagonal decay")
-    return EXIT_OK
 
 
-def _resolve_function(cfg: dict, n: int) -> np.ndarray:
-    fdesc = cfg.get("function", {"kind": "gaussian", "a": 3.0})
-    try:
-        f = TestFunction.from_json(fdesc)
-    except (KeyError, ValueError) as err:
-        raise InvalidInput(f"bad test function descriptor: {err}") from err
-    ctx = HermiteContext(nmax=n)
-    return project(ctx, f, n)
+def cmd_expand(inv: Invocation) -> None:
+    f = inv.get("function", _test_function, None)
+    step = step_expansion(inv, f, inv.get("checkpoints", _numbers, None))
+    print(f"wrote {inv.out / step['csv']}")
+    if step["status"] != "pass":
+        raise VerificationFailure("expansion errors grew, or the full expansion failed to reproduce the input")
 
 
-def cmd_expand(cfg: dict, out: Path, args) -> int:
-    system, _ = _build_system(cfg)
-    family = cfg.get("family", "poly")
-    beta = float(cfg.get("beta", 1.0))
-    levels = cfg.get("levels", [0, 1, 2, 3, 4])
-    checkpoints = cfg.get("checkpoints") or sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
-    coeffs = _resolve_function(cfg, system.n)
-    path = out / "expansion.csv"
-    final_errors = []
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["M", "k", "error"])
-        for k in levels:
-            errs = graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta)
-            final_errors.append(errs[-1])
-            for m, err in zip(checkpoints, errs):
-                writer.writerow([m, k, repr(float(err))])
-    print(f"wrote {path}")
-    if checkpoints[-1] == system.n and any(e >= 1e-8 for e in final_errors):
-        raise VerificationFailure("full expansion failed to reproduce the input")
-    return EXIT_OK
-
-
-def cmd_fframe(cfg: dict, out: Path, args) -> int:
-    seed = _seed_from(cfg, args)
-    system, _ = _build_system(cfg)
-    family = cfg.get("family", "poly")
-    beta = float(cfg.get("beta", 1.0))
-    levels = cfg.get("levels", list(range(11)))
-    count = int(cfg.get("samples", 20))
-    ctx = HermiteContext(nmax=system.n)
-    rng_seed = int(step_rng(seed, "fframe").integers(0, 2 ** 32))
-    samples = graded.standard_sample_set(ctx, system.n, count=count, seed=rng_seed)
-    intervals = {}
-    ok = True
-    for k in levels:
-        lo, hi = graded.fframe_bounds_estimate(system, samples, family, float(k), beta=beta)
-        intervals[str(k)] = {"lower": lo, "upper": hi}
-        ok = ok and 0.0 < lo <= hi < math.inf
-    _write_json(out / "fframe.json", {"family": family, "beta": beta, "intervals": intervals})
-    if not ok:
+def cmd_fframe(inv: Invocation) -> None:
+    step = step_fframe(inv)
+    family, beta = inv.grading()
+    _write_json(inv.out / "fframe.json", {"family": family, "beta": beta, "intervals": step["intervals"]})
+    if step["status"] != "pass":
         raise VerificationFailure("degenerate graded frame interval")
-    return EXIT_OK
 
 
-def _report_steps(cfg: dict, out: Path, seed: int) -> dict:
-    system, spec = _build_system(cfg)
-    family = cfg.get("family", "poly")
-    beta = float(cfg.get("beta", 1.0))
+def cmd_report(inv: Invocation) -> None:
+    seed, _ = inv.seed, inv.system  # a bad seed or system is invalid input, not a failing step
     steps: dict = {}
-
-    def run(name, fn):
+    for name, step in REPORT_STEPS.items():
         try:
-            steps[name] = fn()
+            steps[name] = step(inv)
         except frames.IncompatibleWeight as err:
             steps[name] = {"status": "rejected", "error": str(err)}
         except ValueError as err:  # np.linalg.LinAlgError included
             steps[name] = {"status": "fail", "error": str(err)}
-
-    def chain():
-        rep = envelopes.check_implication_chain(system.coeffs, float(cfg.get("gamma", 2.0)))
-        return {
-            "status": "pass",
-            "constants": {"star": rep.star, "dstar": rep.dstar, "tstar": rep.tstar},
-            "diverges": {
-                "star": rep.star_diverges,
-                "dstar": rep.dstar_diverges,
-                "tstar": rep.tstar_diverges,
-            },
-        }
-
-    def schur():
-        bound = envelopes.schur_bound(system.coeffs, 2)
-        spectral = float(system.singular_values[0])
-        ok = bound >= spectral - 1e-10
-        return {
-            "status": "pass" if ok else "fail",
-            "schur_bound": bound,
-            "spectral_norm": spectral,
-        }
-
-    def bounds():
-        a, b = frames.frame_bounds(system)
-        ok = 0.0 < a <= b < math.inf
-        return {"status": "pass" if ok else "fail", "lower": a, "upper": b}
-
-    def biorth():
-        dual = frames.canonical_dual(system)
-        gram = frames.cross_gram(dual, system).entries
-        dev = float(np.max(np.abs(gram - np.eye(system.n))))
-        return {"status": "pass" if dev < 1e-8 else "fail", "max_deviation": dev}
-
-    def example():
-        if spec is None:
-            return {"status": "skipped", "reason": "system not built from a perturbation spec"}
-        trials = int(cfg.get("trials", 1000))
-        rng_seed = int(step_rng(seed, "example").integers(0, 2 ** 32))
-        rep = frames.verify_example_inequalities(spec, system.n, trials, seed=rng_seed)
-        return {
-            "status": "pass" if rep.all_hold else "fail",
-            "contraction_max": rep.contraction_max,
-            "upper_max": rep.upper_max,
-            "lower_min": rep.lower_min,
-        }
-
-    def expansion():
-        ctx = HermiteContext(nmax=system.n)
-        coeffs = project(ctx, TestFunction.gaussian(3.0), system.n)
-        checkpoints = sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
-        levels = cfg.get("levels", [0, 1, 2, 3, 4])
-        path = out / "expansion.csv"
-        ok = True
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["M", "k", "error"])
-            for k in levels:
-                errs = graded.expansion_error_curve(
-                    coeffs, system, family, float(k), checkpoints, beta=beta
-                )
-                ok = ok and errs[-1] < 1e-8 and np.all(np.diff(errs) <= 1e-10)
-                for m, err in zip(checkpoints, errs):
-                    writer.writerow([m, k, repr(float(err))])
-        return {"status": "pass" if ok else "fail", "csv": path.name}
-
-    def fframe():
-        ctx = HermiteContext(nmax=system.n)
-        rng_seed = int(step_rng(seed, "fframe").integers(0, 2 ** 32))
-        samples = graded.standard_sample_set(ctx, system.n, count=int(cfg.get("samples", 20)), seed=rng_seed)
-        intervals = {}
-        ok = True
-        for k in cfg.get("levels", list(range(11))):
-            lo, hi = graded.fframe_bounds_estimate(system, samples, family, float(k), beta=beta)
-            intervals[str(k)] = {"lower": lo, "upper": hi}
-            ok = ok and 0.0 < lo <= hi < math.inf
-        return {"status": "pass" if ok else "fail", "intervals": intervals}
-
-    def weighted():
-        if "weight" not in cfg:
-            return {"status": "skipped", "reason": "no weight configured"}
-        try:
-            w = Weight(**cfg["weight"])
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"invalid weight: {err}") from err
-        rng_seed = int(step_rng(seed, "weighted").integers(0, 2 ** 32))
-        rep = frames.weighted_operator_norms(
-            system, w, float(cfg.get("p", 2)), trials=int(cfg.get("trials", 200)), seed=rng_seed
-        )
-        ok = rep.frame_op_min > 0 and math.isfinite(rep.analysis_max)
-        return {
-            "status": "pass" if ok else "fail",
-            "analysis_max": rep.analysis_max,
-            "synthesis_max": rep.synthesis_max,
-            "frame_op_max": rep.frame_op_max,
-            "frame_op_min": rep.frame_op_min,
-        }
-
-    run("envelope_chain", chain)
-    run("schur", schur)
-    run("frame_bounds", bounds)
-    run("dual_biorthogonality", biorth)
-    run("example_inequalities", example)
-    run("expansion", expansion)
-    run("fframe", fframe)
-    run("weighted_norms", weighted)
-    return steps
-
-
-def cmd_report(cfg: dict, out: Path, args) -> int:
-    seed = _seed_from(cfg, args)
-    steps = _report_steps(cfg, out, seed)
     payload = {"command": "report", "seed": seed, "steps": steps}
-    if not args.no_timestamp:
+    if not inv.args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(out / "report.json", payload)
+    _write_json(inv.out / "report.json", payload)
     failed = [name for name, step in steps.items() if step.get("status") == "fail"]
     for name, step in steps.items():
         print(f"{name}: {step.get('status')}")
     if failed:
         raise VerificationFailure(f"failing steps: {', '.join(failed)}")
-    return EXIT_OK
+
+
+_COMMANDS = {
+    "gen": cmd_gen, "fit": cmd_fit, "schur": cmd_schur, "jaffard": cmd_jaffard,
+    "dual": cmd_dual, "expand": cmd_expand, "fframe": cmd_fframe, "report": cmd_report,
+}
 
 
 def _thread_limiter():
@@ -474,34 +431,24 @@ def main(argv=None) -> int:
     parser.add_argument("--no-timestamp", action="store_true", help="omit timestamps from reports")
     args = parser.parse_args(argv)
 
-    handlers = {
-        "gen": cmd_gen,
-        "fit": cmd_fit,
-        "schur": cmd_schur,
-        "jaffard": cmd_jaffard,
-        "dual": cmd_dual,
-        "expand": cmd_expand,
-        "fframe": cmd_fframe,
-        "report": cmd_report,
-    }
     try:
-        cfg = _load_config(args.config)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        inv = Invocation(_load_config(args.config), Path(args.out), args)
+        inv.out.mkdir(parents=True, exist_ok=True)
         with _thread_limiter():
-            return handlers[args.command](cfg, out, args)
-    except InvalidInput as err:
+            _COMMANDS[args.command](inv)
+        return EXIT_OK
+    except np.linalg.LinAlgError as err:
+        print(f"error: singular at truncation: {err}", file=sys.stderr)
+        return EXIT_INVALID
+    except (InvalidInput, ValueError) as err:  # a ValueError here is a rejected config value
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except IOFailure as err:
+    except (IOFailure, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except VerificationFailure as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

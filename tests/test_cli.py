@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from frameforge import cli
 from frameforge.cli import main
 from frameforge.envelopes import TruncatedMatrix
 from frameforge.matio import load_frame_system, save_matrix
@@ -69,6 +70,17 @@ def test_fit_exponential_matrix(tmp_path):
     assert abs(float(line[1]) - 0.7) < 1e-6
 
 
+def test_fit_banded_matrix_exit_2_leaves_no_file(tmp_path, capsys):
+    a = TruncatedMatrix(np.eye(48) + 0.3 * np.eye(48, k=1) + 0.3 * np.eye(48, k=-1))
+    path = tmp_path / "band.csv"
+    save_matrix(path, a)
+    cfg = write_config(tmp_path, "fit.json", {"matrix": str(path), "betas": [1.0]})
+    out = tmp_path / "out"
+    assert main(["fit", "--config", cfg, "--out", str(out)]) == 2
+    assert "fewer than 3 usable anti-diagonals" in capsys.readouterr().err
+    assert not (out / "fit.csv").exists()
+
+
 def test_fit_identity_sentinel(tmp_path):
     a = TruncatedMatrix(np.eye(32))
     path = tmp_path / "id.csv"
@@ -98,6 +110,12 @@ def test_schur_pass(tmp_path):
     assert data["dominates_spectral"] is True
     assert data["schur_bound"] >= data["spectral_norm"] - 1e-10
 
+    # report's Schur step is the same check on the same matrix
+    rcfg = write_config(tmp_path, "r.json", {"matrix": mat, "p": 2, "levels": [0], "samples": 3, "seed": 1})
+    assert main(["report", "--config", rcfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 0
+    step = json.loads((tmp_path / "r" / "report.json").read_text())["steps"]["schur"]
+    assert step == {"status": "pass", "schur_bound": data["schur_bound"], "spectral_norm": data["spectral_norm"]}
+
 
 def test_jaffard_identity_and_singular(tmp_path):
     a = TruncatedMatrix(np.eye(32))
@@ -116,7 +134,8 @@ def test_jaffard_identity_and_singular(tmp_path):
     spath = tmp_path / "sing.csv"
     save_matrix(spath, TruncatedMatrix(sing))
     cfg2 = write_config(tmp_path, "j2.json", {"matrix": str(spath), "beta": 1.0, "gamma": 1.0})
-    assert main(["jaffard", "--config", cfg2, "--out", str(tmp_path)]) == 2
+    assert main(["jaffard", "--config", cfg2, "--out", str(tmp_path / "sing")]) == 2
+    assert not (tmp_path / "sing" / "jaffard.json").exists()
 
 
 def test_jaffard_banded_matrix_clean(tmp_path):
@@ -181,9 +200,18 @@ def test_expand_command(tmp_path):
     assert rows[0] == "M,k,error"
     assert len(rows) == 1 + 2 * 4
 
+    # Without a function or checkpoints, expand runs report's expansion step.
+    base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 64, "levels": [0, 1],
+            "trials": 20, "samples": 5, "seed": 5}
+    cfg = write_config(tmp_path, "base.json", base)
+    assert main(["expand", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 0
+    expanded = (tmp_path / "e" / "expansion.csv").read_bytes()
+    assert expanded == (tmp_path / "r" / "expansion.csv").read_bytes()
+
 
 def test_fframe_command_requires_seed(tmp_path):
-    base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "levels": [0, 1]}
+    base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "levels": [0, 1], "trials": 5}
     cfg = write_config(tmp_path, "f.json", base)
     assert main(["fframe", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert main(["fframe", "--config", cfg, "--out", str(tmp_path), "--seed", "7"]) == 0
@@ -191,6 +219,11 @@ def test_fframe_command_requires_seed(tmp_path):
     assert set(data["intervals"]) == {"0", "1"}
     for iv in data["intervals"].values():
         assert 0 < iv["lower"] <= iv["upper"]
+
+    # report's fframe step draws the same samples from the same seed
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--seed", "7", "--no-timestamp"]) == 0
+    steps = json.loads((tmp_path / "r" / "report.json").read_text())["steps"]
+    assert steps["fframe"]["intervals"] == data["intervals"]
 
 
 def test_report_runs_and_is_deterministic(tmp_path):
@@ -248,3 +281,66 @@ def test_report_with_timestamp_differs(tmp_path):
     assert main(["report", "--config", cfg, "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "report.json").read_text())
     assert "timestamp" in data
+
+
+def test_report_builds_one_hermite_context(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(cli.HermiteContext):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("nmax"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "HermiteContext", Counting)
+    cfg_payload = {
+        "spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}},
+        "n": 32,
+        "levels": [0, 1],
+        "trials": 5,
+        "samples": 3,
+        "seed": 2,
+    }
+    cfg = write_config(tmp_path, "r.json", cfg_payload)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
+    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+    assert steps["expansion"]["status"] == steps["fframe"]["status"] == "pass"
+    assert built == [32]
+
+
+SPEC = {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}
+SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "samples": 3, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("gen", {"spec": SPEC, "n": "abc"}),
+        ("gen", {"spec": SPEC, "n": 32, "format": "ffmx"}),
+        ("report", dict(SMALL_REPORT, n="abc")),
+        ("report", dict(SMALL_REPORT, levels=["x"])),
+        ("report", dict(SMALL_REPORT, trials="x")),
+        ("report", dict(SMALL_REPORT, family="nope")),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": "x"}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "levels": ["x"]}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "levels": 3}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "family": "nope"}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": ["x"]}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": 3}),
+        ("expand", {"spec": SPEC, "n": 32, "checkpoints": [0, 999]}),
+        ("expand", {"spec": SPEC, "n": 32, "family": "nope"}),
+        ("schur", {"matrix": "MATRIX", "p": "x"}),
+        ("jaffard", {"matrix": "MATRIX", "beta": "x", "gamma": 0.7}),
+        ("jaffard", {"matrix": "MATRIX", "beta": 1.0, "gamma": 0.7, "eps_free": "x"}),
+        ("dual", {"spec": SPEC, "n": 32, "margin": "x"}),
+        ("dual", {"spec": SPEC, "n": 32, "poly": "false"}),
+    ],
+)
+def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):
+    if payload.get("matrix") == "MATRIX":
+        payload = dict(payload, matrix=jaffard_csv(tmp_path, 32, 0.7))
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(out.iterdir()) == []
