@@ -6,7 +6,9 @@ Usage::
                 --config <path> [--out <dir>] [--seed <u64>] [--no-timestamp]
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input,
-3 I/O error.  A malformed config value exits 2, in ``report`` too.
+3 I/O error.  A malformed config value exits 2, in ``report`` too, and
+``report`` writes its files only after every step has run, so it leaves
+no output behind when it exits 2.
 ``report`` runs the same step functions as ``schur``, ``expand`` and
 ``fframe``, so each check has one verdict: ``expand`` fails on a
 non-monotone error curve, exactly as ``report`` does.  Identical config
@@ -127,6 +129,16 @@ def _test_function(desc) -> TestFunction:
         raise InvalidInput(f"bad test function descriptor: {err}") from err
 
 
+# The converter of each config field, the same for every subcommand that reads it.
+FIELDS = {
+    "matrix": str, "spec": dict, "n": int, "margin": int, "seed": int, "label": str,
+    "format": _one_of("csv", "binary"), "betas": _numbers, "p": float, "beta": float, "gamma": float,
+    "gamma_prime": float, "gamma_dprime": float, "eps_free": float, "poly": _one_of(False, True),
+    "family": _one_of(*graded._FAMILIES), "levels": _numbers, "checkpoints": _numbers,
+    "function": _test_function, "samples": int, "trials": int,
+}
+
+
 class Invocation:
     """One run of a subcommand: its config, output directory and arguments.
 
@@ -139,26 +151,26 @@ class Invocation:
     def __init__(self, cfg: dict, out: Path, args: argparse.Namespace):
         self.cfg, self.out, self.args = cfg, out, args
 
-    def get(self, key: str, convert, default=_REQUIRED):
-        """Field ``key`` passed through ``convert``, or ``default`` as given when absent."""
+    def get(self, key: str, default=_REQUIRED):
+        """Field ``key`` passed through its converter in ``FIELDS``, or ``default`` as given when absent."""
         if key not in self.cfg:
             if default is _REQUIRED:
                 raise InvalidInput(f"config is missing required field {key!r}")
             return default
         try:
-            return convert(self.cfg[key])
+            return FIELDS[key](self.cfg[key])
         except (TypeError, ValueError) as err:
             raise InvalidInput(f"bad config field {key!r}: {err}") from err
 
     def _with_margin(self, a: envelopes.TruncatedMatrix) -> envelopes.TruncatedMatrix:
         if "margin" not in self.cfg:
             return a
-        return envelopes.TruncatedMatrix(a.entries, margin=self.get("margin", int))
+        return envelopes.TruncatedMatrix(a.entries, margin=self.get("margin"))
 
     @cached_property
     def matrix(self) -> envelopes.TruncatedMatrix:
         """The required stored ``matrix``, with the ``margin`` override."""
-        path = self.get("matrix", str)
+        path = self.get("matrix")
         try:
             a = matio.load_matrix(path)
         except FileNotFoundError as err:
@@ -170,10 +182,10 @@ class Invocation:
     @cached_property
     def perturbed(self) -> tuple[frames.PerturbationSpec, frames.FrameSystem, int]:
         """The required ``spec`` at truncation ``n``, its system and the dropped shift terms."""
-        n = self.get("n", int)
+        n = self.get("n")
         if n < 16:
             raise InvalidInput("truncation n must be at least 16")
-        spec = matio.parse_perturbation_spec(self.get("spec", dict), n)
+        spec = matio.parse_perturbation_spec(self.get("spec"), n)
         system, dropped = frames.build_perturbed_basis(spec, n)
         return spec, frames.FrameSystem(self._with_margin(system.coeffs)), dropped
 
@@ -191,7 +203,7 @@ class Invocation:
             return self.args.seed
         if "seed" not in self.cfg:
             raise InvalidInput("seed required: pass --seed or put 'seed' in the config")
-        return self.get("seed", int)
+        return self.get("seed")
 
     @cached_property
     def hermite(self) -> HermiteContext:
@@ -204,7 +216,7 @@ class Invocation:
 
     def grading(self) -> tuple[str, float]:
         """The graded-norm ``family`` and its ``beta``."""
-        return self.get("family", _one_of(*graded._FAMILIES), "poly"), self.get("beta", float, 1.0)
+        return self.get("family", "poly"), self.get("beta", 1.0)
 
 
 def _result(ok, **values) -> dict:
@@ -213,7 +225,7 @@ def _result(ok, **values) -> dict:
 
 
 def step_envelope_chain(inv: Invocation) -> dict:
-    rep = envelopes.check_implication_chain(inv.system.coeffs, inv.get("gamma", float, 2.0))
+    rep = envelopes.check_implication_chain(inv.system.coeffs, inv.get("gamma", 2.0))
     constants = {"star": rep.star, "dstar": rep.dstar, "tstar": rep.tstar}
     diverges = {"star": rep.star_diverges, "dstar": rep.dstar_diverges, "tstar": rep.tstar_diverges}
     return _result(True, constants=constants, diverges=diverges)
@@ -241,38 +253,43 @@ def step_dual_biorthogonality(inv: Invocation) -> dict:
 def step_example_inequalities(inv: Invocation) -> dict:
     if "matrix" in inv.cfg:
         return {"status": "skipped", "reason": "system not built from a perturbation spec"}
-    trials = inv.get("trials", int, 1000)
+    trials = inv.get("trials", 1000)
     rep = frames.verify_example_inequalities(inv.perturbed[0], inv.system.n, trials, seed=inv.step_seed("example"))
     return _result(rep.all_hold, contraction_max=rep.contraction_max, upper_max=rep.upper_max,
                    lower_min=rep.lower_min)
 
 
 def step_expansion(inv: Invocation, f: TestFunction | None = None, checkpoints=None) -> dict:
-    """Expansion error curves of ``f``, one per level, written to ``expansion.csv``.
+    """Expansion error curves of ``f``, one per level, as the ``rows`` of ``expansion.csv``.
 
     ``f`` defaults to exp(-3x^2/2).  A curve passes when it is non-increasing
     and, if its last checkpoint is N, ends below 1e-8 (finite-rank exactness).
+    The caller writes the rows with ``_write_expansion``, which takes them
+    out of the result, after any later step that may reject the config.
     """
     system = inv.system
     family, beta = inv.grading()
-    levels = inv.get("levels", _numbers, [0, 1, 2, 3, 4])
+    levels = inv.get("levels", [0, 1, 2, 3, 4])
     checkpoints = checkpoints or sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
     coeffs = project(inv.hermite, f or TestFunction.gaussian(3.0), system.n)
     curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
               for k in levels]
-    rows = ([m, k, repr(float(err))] for k, errs in curves for m, err in zip(checkpoints, errs))
-    path = _write_csv(inv.out / "expansion.csv", ["M", "k", "error"], rows)
+    rows = [[m, k, repr(float(err))] for k, errs in curves for m, err in zip(checkpoints, errs)]
     exact = checkpoints[-1] != system.n or all(errs[-1] < 1e-8 for _, errs in curves)
     ok = exact and all(np.all(np.diff(errs) <= 1e-10) for _, errs in curves)
-    return _result(ok, csv=path.name)
+    return _result(ok, csv="expansion.csv", rows=rows)
+
+
+def _write_expansion(inv: Invocation, step: dict) -> Path:
+    return _write_csv(inv.out / step["csv"], ["M", "k", "error"], step.pop("rows"))
 
 
 def step_fframe(inv: Invocation) -> dict:
     """Graded frame intervals per level; each must be positive and finite."""
     rng_seed = inv.step_seed("fframe")
     family, beta = inv.grading()
-    levels = inv.get("levels", _numbers, list(range(11)))
-    count = inv.get("samples", int, 20)
+    levels = inv.get("levels", list(range(11)))
+    count = inv.get("samples", 20)
     samples = graded.standard_sample_set(inv.hermite, inv.system.n, count=count, seed=rng_seed)
     intervals = {}
     for k in levels:
@@ -289,7 +306,7 @@ def step_weighted_norms(inv: Invocation) -> dict:
         w = Weight(**inv.cfg["weight"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"invalid weight: {err}") from err
-    p, trials = inv.get("p", float, 2.0), inv.get("trials", int, 200)
+    p, trials = inv.get("p", 2.0), inv.get("trials", 200)
     rep = frames.weighted_operator_norms(inv.system, w, p, trials=trials, seed=inv.step_seed("weighted"))
     ok = rep.frame_op_min > 0 and math.isfinite(rep.analysis_max)
     return _result(ok, analysis_max=rep.analysis_max, synthesis_max=rep.synthesis_max,
@@ -307,8 +324,8 @@ REPORT_STEPS = {
 
 def cmd_gen(inv: Invocation) -> None:
     _, system, dropped = inv.perturbed
-    label = inv.get("label", str, "system")
-    binary = inv.get("format", _one_of("csv", "binary"), "csv") == "binary"
+    label = inv.get("label", "system")
+    binary = inv.get("format", "csv") == "binary"
     path = inv.out / (label + (".ffmx" if binary else ".csv"))
     matio.save_frame_system(path, frames.FrameSystem(system.coeffs, label=label), binary=binary)
     print(f"wrote {path} (n={system.n}, dropped shift terms: {dropped})")
@@ -317,7 +334,7 @@ def cmd_gen(inv: Invocation) -> None:
 def cmd_fit(inv: Invocation) -> None:
     a = inv.matrix
     # Every beta is fitted before fit.csv is opened: a failed fit leaves no file.
-    fits = [(beta, envelopes.fit_decay(a, float(beta))) for beta in inv.get("betas", _numbers, [1.0])]
+    fits = [(beta, envelopes.fit_decay(a, float(beta))) for beta in inv.get("betas", [1.0])]
     rows = [[b, "inf" if math.isinf(f.gamma) else repr(f.gamma), repr(f.c), repr(f.residual)] for b, f in fits]
     path = _write_csv(inv.out / "fit.csv", ["beta", "gamma_fit", "c_fit", "residual"], rows)
     print(f"wrote {path}")
@@ -325,7 +342,7 @@ def cmd_fit(inv: Invocation) -> None:
 
 def cmd_schur(inv: Invocation) -> None:
     inv.matrix  # schur reads a stored matrix, never a spec
-    p = inv.get("p", float, 2.0)
+    p = inv.get("p", 2.0)
     step = step_schur(inv, p)
     ok = step.pop("status") == "pass"
     _write_json(inv.out / "schur.json", {"p": p, "dominates_spectral": ok, **step})
@@ -336,8 +353,8 @@ def cmd_schur(inv: Invocation) -> None:
 def cmd_jaffard(inv: Invocation) -> None:
     a = inv.matrix
     report = frames.jaffard_predict(
-        a, inv.get("beta", float), inv.get("gamma", float), gamma_prime=inv.get("gamma_prime", float, None),
-        gamma_dprime=inv.get("gamma_dprime", float, None), eps_free=inv.get("eps_free", float, 0.5),
+        a, inv.get("beta"), inv.get("gamma"), gamma_prime=inv.get("gamma_prime", None),
+        gamma_dprime=inv.get("gamma_dprime", None), eps_free=inv.get("eps_free", 0.5),
     )
     check = frames.verify_inverse_decay(a, report)
     _write_json(inv.out / "jaffard.json", {
@@ -350,7 +367,7 @@ def cmd_jaffard(inv: Invocation) -> None:
 
 def cmd_dual(inv: Invocation) -> None:
     system = inv.system
-    poly, beta = inv.get("poly", _one_of(False, True), False), inv.get("beta", float, 1.0)
+    poly, beta = inv.get("poly", False), inv.get("beta", 1.0)
     rep = frames.dual_localization_check(system, beta=beta, poly=poly)
     _write_json(inv.out / "dual.json", {
         "poly": poly, "beta": beta,
@@ -362,9 +379,9 @@ def cmd_dual(inv: Invocation) -> None:
 
 
 def cmd_expand(inv: Invocation) -> None:
-    f = inv.get("function", _test_function, None)
-    step = step_expansion(inv, f, inv.get("checkpoints", _numbers, None))
-    print(f"wrote {inv.out / step['csv']}")
+    f = inv.get("function", None)
+    step = step_expansion(inv, f, inv.get("checkpoints", None))
+    print(f"wrote {_write_expansion(inv, step)}")
     if step["status"] != "pass":
         raise VerificationFailure("expansion errors grew, or the full expansion failed to reproduce the input")
 
@@ -387,6 +404,8 @@ def cmd_report(inv: Invocation) -> None:
             steps[name] = {"status": "rejected", "error": str(err)}
         except ValueError as err:  # np.linalg.LinAlgError included
             steps[name] = {"status": "fail", "error": str(err)}
+    if "rows" in steps["expansion"]:  # absent when the step failed
+        _write_expansion(inv, steps["expansion"])
     payload = {"command": "report", "seed": seed, "steps": steps}
     if not inv.args.no_timestamp:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()

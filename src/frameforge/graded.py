@@ -111,19 +111,18 @@ def fframe_bounds_estimate(
     Returns (min, max) over the samples of the ratio between the level-k
     norm of the analysis coefficients and the level-k norm of the sample
     itself.  Both ends positive and finite is the finite-truncation
-    evidence for a graded frame inequality at this level.
+    evidence for a graded frame inequality at this level.  The samples
+    are analysed together, in one matrix product.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    lo, hi = math.inf, 0.0
-    for f in samples:
-        den = graded_level_norm(f, family, k, beta)
-        if den == 0.0 or not math.isfinite(den):
-            raise ValueError("sample with zero or non-finite level norm")
-        ratio = graded_level_norm(analysis(e, f), family, k, beta) / den
-        lo, hi = min(lo, ratio), max(hi, ratio)
-    return lo, hi
+    dens = [graded_level_norm(f, family, k, beta) for f in samples]
+    if not all(den > 0.0 and math.isfinite(den) for den in dens):
+        raise ValueError("sample with zero or non-finite level norm")
+    coeffs = analysis(e, np.asarray(samples))
+    ratios = [graded_level_norm(a, family, k, beta) / den for a, den in zip(coeffs, dens)]
+    return min(ratios), max(ratios)
 
 
 def standard_sample_set(ctx: HermiteContext, n: int, count: int = 20, seed: int = 0):

@@ -152,34 +152,49 @@ def load_frame_system(path) -> FrameSystem:
     return FrameSystem(mat, label=meta.get("label", ""))
 
 
+def _spec_field(d: dict, key: str, convert):
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError, IndexError) as err:
+        raise ValueError(f"bad perturbation spec field {key!r}: {err}") from err
+
+
+def _constant_rows(a_field: dict, r: int, n: int) -> np.ndarray:
+    if "constant" not in a_field:
+        raise ValueError("the object form of a needs the key 'constant'")
+    vals = np.atleast_1d(np.asarray(a_field["constant"], dtype=float))
+    if vals.size == 1:
+        vals = np.repeat(vals, r)
+    if vals.size != r:
+        raise ValueError("constant list length must equal r")
+    return np.repeat(vals[:, None], n, axis=1)
+
+
+def _explicit_rows(a_field, r: int) -> np.ndarray:
+    rows = []
+    for row in a_field:
+        arr = np.asarray(row)
+        if arr.ndim == 2 and arr.shape[1] == 2:
+            arr = arr[:, 0] + 1j * arr[:, 1]
+        rows.append(arr)
+    width = max(len(row) for row in rows)
+    a = np.zeros((r, width), dtype=complex if any(np.iscomplexobj(x) for x in rows) else float)
+    for i, row in enumerate(rows):
+        a[i, : len(row)] = row
+    return a
+
+
 def parse_perturbation_spec(d: dict, n: int) -> PerturbationSpec:
     """Build a PerturbationSpec from its JSON form.
 
     ``a`` may be explicit rows (lists of reals or [re, im] pairs) or
     ``{"constant": v}`` / ``{"constant": [v1, .., vr]}``, expanded to
-    length-n constant sequences.
+    length-n constant sequences.  A malformed field raises ValueError
+    naming the field.
     """
     if "r" not in d or "eps" not in d or "a" not in d:
         raise ValueError("perturbation spec needs fields r, eps, a")
-    r = int(d["r"])
-    eps = tuple(float(x) for x in d["eps"])
-    a_field = d["a"]
-    if isinstance(a_field, dict):
-        vals = np.atleast_1d(np.asarray(a_field["constant"], dtype=float))
-        if vals.size == 1:
-            vals = np.repeat(vals, r)
-        if vals.size != r:
-            raise ValueError("constant list length must equal r")
-        a = np.repeat(vals[:, None], n, axis=1)
-    else:
-        rows = []
-        for row in a_field:
-            arr = np.asarray(row)
-            if arr.ndim == 2 and arr.shape[1] == 2:
-                arr = arr[:, 0] + 1j * arr[:, 1]
-            rows.append(arr)
-        width = max(len(row) for row in rows)
-        a = np.zeros((r, width), dtype=complex if any(np.iscomplexobj(x) for x in rows) else float)
-        for i, row in enumerate(rows):
-            a[i, : len(row)] = row
+    r = _spec_field(d, "r", int)
+    eps = _spec_field(d, "eps", lambda v: tuple(float(x) for x in v))
+    a = _spec_field(d, "a", lambda v: _constant_rows(v, r, n) if isinstance(v, dict) else _explicit_rows(v, r))
     return PerturbationSpec(r=r, a=a, eps=eps)

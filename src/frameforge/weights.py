@@ -21,6 +21,7 @@ __all__ = [
     "sup_graded_norm",
     "verify_weight_admissibility",
     "weighted_norm",
+    "weighted_row_norms",
 ]
 
 _KINDS = ("moderate", "subexponential", "exponential")
@@ -109,11 +110,12 @@ def verify_weight_admissibility(w: Weight, grid=None) -> float:
     return float(np.exp(np.max(log_ratio)))
 
 
-def as_sequence(values) -> np.ndarray:
-    """Validate a coefficient sequence: 1-D, finite entries."""
+def as_sequence(values, ndim: int = 1) -> np.ndarray:
+    """Validate a coefficient sequence (``ndim=1``) or a block of them as rows (``ndim=2``)."""
     c = np.asarray(values)
-    if c.ndim != 1:
-        raise ValueError("coefficient sequence must be one-dimensional")
+    if c.ndim != ndim:
+        raise ValueError("coefficient sequence must be one-dimensional" if ndim == 1
+                         else "coefficient block must be two-dimensional")
     if c.size and not np.all(np.isfinite(c)):
         raise ValueError("coefficient sequence has non-finite entries")
     return c
@@ -130,23 +132,43 @@ def weighted_norm(c, w: Weight, p: float) -> float:
     ``p = inf`` gives ``sup |c_n| mu(n)``.  Terms are formed in log space
     and the power sum is accumulated with exactly rounded summation
     (``math.fsum``) after scaling by the largest term, so the result
-    overflows only when the true norm does.
+    overflows only when the true norm does.  This is the one-row case of
+    ``weighted_row_norms``.
     """
-    c = as_sequence(c)
+    return float(_row_norms(as_sequence(c)[None, :], w, p)[0])
+
+
+def weighted_row_norms(rows, w: Weight, p: float) -> np.ndarray:
+    """``weighted_norm`` of each row of a 2-D array, one value per row.
+
+    A row's value does not depend on the other rows in the block: the
+    elementwise steps run on the whole block, the power sum of each row
+    is exactly rounded, and the final ``exp``/``log`` take the scalar path
+    row by row.
+    """
+    return _row_norms(as_sequence(rows, ndim=2), w, p)
+
+
+def _row_norms(rows: np.ndarray, w: Weight, p: float) -> np.ndarray:
     if not (p == math.inf or p >= 1):
         raise ValueError("p must be in [1, inf]")
-    if c.size == 0:
-        return 0.0
-    n = np.arange(1, c.size + 1, dtype=float)
-    logs = _log_abs(c) + log_eval_weight(w, n)
-    m = np.max(logs)
-    if m == -math.inf:
-        return 0.0
-    if p == math.inf:
-        return float(np.exp(m))
-    scaled = np.exp(p * (logs - m))
-    s = math.fsum(scaled)
-    return float(np.exp(m + math.log(s) / p))
+    out = np.zeros(rows.shape[0])
+    if rows.shape[1] == 0:
+        return out
+    n = np.arange(1, rows.shape[1] + 1, dtype=float)
+    logs = _log_abs(rows) + log_eval_weight(w, n)
+    peaks = np.max(logs, axis=1)
+    if p != math.inf:
+        with np.errstate(invalid="ignore"):  # all-zero rows give -inf - -inf; they are skipped
+            scaled = np.exp(p * (logs - peaks[:, None]))
+    for i, m in enumerate(peaks):
+        if m == -math.inf:
+            continue
+        if p == math.inf:
+            out[i] = np.exp(m)
+        else:
+            out[i] = np.exp(m + math.log(math.fsum(scaled[i].tolist())) / p)
+    return out
 
 
 def sup_graded_norm(c, family: str, k: float, beta: float = 1.0) -> float:

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +336,10 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "samples": 3,
         ("jaffard", {"matrix": "MATRIX", "beta": 1.0, "gamma": 0.7, "eps_free": "x"}),
         ("dual", {"spec": SPEC, "n": 32, "margin": "x"}),
         ("dual", {"spec": SPEC, "n": 32, "poly": "false"}),
+        ("report", dict(SMALL_REPORT, samples="x")),
+        ("report", dict(SMALL_REPORT, p="x", weight={"kind": "moderate", "k": 1.0})),
+        ("gen", {"spec": dict(SPEC, eps=0.5), "n": 32}),
+        ("gen", {"spec": dict(SPEC, a={"c": 0.5}), "n": 32}),
     ],
 )
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):
@@ -344,3 +351,23 @@ def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_report_byte_identical_under_one_and_two_blas_threads(tmp_path):
+    # The Monte Carlo steps run as matrix-matrix products, whose work BLAS
+    # splits across its threads; the report must not depend on the split.
+    payload = {
+        "spec": SPEC, "n": 256, "gamma": 2.0, "levels": [0, 1, 2, 3, 4], "trials": 1000, "seed": 11,
+        "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0},
+    }
+    cfg = write_config(tmp_path, "r.json", payload)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "FRAME_FORGE_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        argv = [sys.executable, "-m", "frameforge.cli", "report", "--config", cfg, "--out", str(out), "--no-timestamp"]
+        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from frameforge.frames import (
     verify_inverse_decay,
     weighted_operator_norms,
 )
-from frameforge.weights import Weight
+from frameforge.weights import Weight, weighted_norm
 
 
 def perturbed(n, value=0.5):
@@ -266,6 +267,34 @@ def test_example_inequalities_half_perturbation():
     assert rep.all_hold
 
 
+def _example_inequalities_per_trial(spec, n, trials, seed):
+    """Reference: one vector, one matrix-vector product and three norms per trial."""
+    system, _ = build_perturbed_basis(spec, n)
+    c_factor = (3.0 + sum(spec.eps)) / 4.0
+    rng = np.random.default_rng(seed)
+    contraction, upper, lower = 0.0, 0.0, math.inf
+    for _ in range(trials):
+        f = rng.standard_normal(n)
+        f /= np.linalg.norm(f)
+        uf = system.matrix.T @ f
+        norm_uf = np.linalg.norm(uf)
+        contraction = max(contraction, np.linalg.norm(uf - f) / (c_factor * (norm_uf + 1.0)))
+        upper = max(upper, norm_uf)
+        if abs(f[0]) > 0:
+            lower = min(lower, norm_uf / abs(f[0]))
+    return contraction, upper, lower
+
+
+@pytest.mark.parametrize("trials", [1, 127, 128, 129, 300])
+def test_example_inequalities_match_per_trial_loop(trials):
+    spec = PerturbationSpec(r=2, a=np.array([[0.3, -0.2] * 48, [0.1, 0.25] * 48]), eps=(0.3, 0.25))
+    rep = verify_example_inequalities(spec, 96, trials, seed=4)
+    expected = _example_inequalities_per_trial(spec, 96, trials, seed=4)
+    assert rep.trials == trials
+    got = (rep.contraction_max, rep.upper_max, rep.lower_min)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0)
+
+
 def test_example_adversarial_first_basis_vector():
     n = 64
     system = perturbed(n)
@@ -430,6 +459,94 @@ def test_weighted_operator_norms_perturbed_stable():
     r2 = weighted_operator_norms(perturbed(256), w, 2, trials=100, seed=8)
     assert r1.frame_op_min > 0
     assert abs(r2.analysis_max - r1.analysis_max) < 0.05 * r1.analysis_max
+
+
+def _weighted_operator_norms_per_trial(e, w, p, trials, seed):
+    """Reference: one vector, three matrix-vector products and four norms per trial."""
+    s_matrix = frame_operator(e).entries
+    rng = np.random.default_rng(seed)
+    u_max = t_max = s_max = 0.0
+    s_min = math.inf
+    for _ in range(trials):
+        f = rng.standard_normal(e.n)
+        den = weighted_norm(f, w, p)
+        u_max = max(u_max, weighted_norm(e.matrix.conj() @ f, w, p) / den)
+        t_max = max(t_max, weighted_norm(e.matrix.T @ f, w, p) / den)
+        s_ratio = weighted_norm(s_matrix @ f, w, p) / den
+        s_max, s_min = max(s_max, s_ratio), min(s_min, s_ratio)
+    return u_max, t_max, s_max, s_min
+
+
+def _complex_localized(n):
+    rng = np.random.default_rng(9)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return FrameSystem(np.eye(n) + 0.2 * noise * np.exp(-1.5 * d))
+
+
+@pytest.mark.parametrize("trials", [1, 127, 128, 129, 300])
+@pytest.mark.parametrize(
+    "build, w, p",
+    [
+        (lambda: perturbed(96), Weight("subexponential", beta=0.5, gamma=1.0), 2.0),
+        (lambda: _complex_localized(80), Weight("moderate", k=1.5), 3.5),
+        (lambda: _complex_localized(80), Weight("moderate", k=1.0), math.inf),
+    ],
+)
+def test_weighted_operator_norms_match_per_trial_loop(trials, build, w, p):
+    e = build()
+    rep = weighted_operator_norms(e, w, p, trials=trials, seed=6)
+    expected = _weighted_operator_norms_per_trial(e, w, p, trials, seed=6)
+    assert rep.trials == trials
+    got = (rep.analysis_max, rep.synthesis_max, rep.frame_op_max, rep.frame_op_min)
+    assert got == pytest.approx(expected, rel=1e-13, abs=0)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_weighted_operator_norms_memory_stays_below_four_matrices():
+    # The frame operator is one N x N matrix; the trial blocks must stay
+    # small beside it, where one block of all 1000 trials would not (about
+    # 9 N^2 doubles).  p = inf keeps the block arrays of p = 2 but skips
+    # fsum, whose one Python float per entry makes tracemalloc ten times slower.
+    n = 512
+    e = perturbed(n)
+    w = Weight("subexponential", beta=0.5, gamma=1.0)
+    peak = _traced_peak(lambda: weighted_operator_norms(e, w, math.inf, trials=1000, seed=1))
+    assert peak < 4 * n * n * 8
+
+
+def test_analysis_copies_no_system_matrix():
+    n = 512
+    real = perturbed(n)
+    cplx = FrameSystem(real.matrix * (0.6 + 0.8j))
+    block = np.ones((8, n))
+    small = n * n * 8 // 8  # an eighth of one real N x N matrix
+    for system in (real, cplx):
+        for f in (block[0], block):
+            assert _traced_peak(lambda: analysis(system, f)) < small
+    # the product itself is the only N x N allocation
+    assert _traced_peak(lambda: cross_gram(real, real)) < 1.5 * n * n * 8
+
+
+def test_analysis_and_synthesis_of_a_block_match_each_row():
+    e = _complex_localized(40)
+    block = np.random.default_rng(2).standard_normal((5, 40))
+    for got, ref in ((analysis(e, block), [e.matrix.conj() @ row for row in block]),
+                     (synthesis(e, block), [e.matrix.T @ row for row in block]),
+                     ([analysis(e, row) for row in block], [e.matrix.conj() @ row for row in block])):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="does not match"):
+        analysis(e, np.ones((5, 39)))
+    with pytest.raises(ValueError, match="non-finite"):
+        synthesis(e, np.full((2, 40), math.nan))
 
 
 def test_weighted_operator_norms_incompatible_weight():

@@ -121,6 +121,18 @@ def test_fframe_bounds_monte_carlo_stability(ctx256):
         assert abs(hi2 - hi1) <= 0.1 * hi1
 
 
+@pytest.mark.parametrize("family, k", [("poly", 0.0), ("poly", 3.0), ("subexp", 2.0)])
+def test_fframe_bounds_match_per_sample_loop(ctx256, family, k):
+    system = perturbed(256)
+    samples = standard_sample_set(ctx256, 256, count=20, seed=7)
+    ratios = [
+        graded_level_norm(system.matrix @ f, family, k, 0.5) / graded_level_norm(f, family, k, 0.5)
+        for f in samples
+    ]
+    lo, hi = fframe_bounds_estimate(system, samples, family, k, beta=0.5)
+    assert (lo, hi) == pytest.approx((min(ratios), max(ratios)), rel=1e-13, abs=0)
+
+
 def test_fframe_bounds_zero_norm_sample_rejected():
     with pytest.raises(ValueError):
         fframe_bounds_estimate(identity_frame(8), [np.zeros(8)], "poly", 1)

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frameforge.weights import (
     Weight,
     eval_weight,
+    log_eval_weight,
     sup_graded_norm,
     verify_weight_admissibility,
     weighted_norm,
+    weighted_row_norms,
 )
 
 
@@ -179,3 +184,57 @@ def test_weighted_norm_sum_is_not_absorbed_by_a_large_term():
 def test_as_sequence_rejects_nonfinite():
     with pytest.raises(ValueError):
         weighted_norm(np.array([1.0, np.nan]), Weight("moderate"), 2)
+
+
+_ENTRIES = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+
+
+@st.composite
+def _row_blocks(draw):
+    """Real or complex blocks of up to 6 rows, some of them all zero."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(0, 40)))
+    block = draw(arrays(float, shape, elements=_ENTRIES))
+    if draw(st.booleans()):
+        block = block + 1j * draw(arrays(float, shape, elements=_ENTRIES))
+    zero_rows = draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0]))
+    block[zero_rows] = 0.0
+    return block
+
+
+def _weighted_norm_reference(c, w, p):
+    """The one-vector weighted norm as it was before the row-wise form."""
+    if c.size == 0:
+        return 0.0
+    n = np.arange(1, c.size + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c).astype(float)) + log_eval_weight(w, n)
+    m = np.max(logs)
+    if m == -math.inf:
+        return 0.0
+    if p == math.inf:
+        return float(np.exp(m))
+    return float(np.exp(m + math.log(math.fsum(np.exp(p * (logs - m)))) / p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=_row_blocks(),
+    p=st.sampled_from([1.0, 2.0, 3.5, math.inf]),
+    w=st.sampled_from([Weight("moderate"), Weight("moderate", k=2.5), Weight("subexponential", beta=0.5)]),
+)
+def test_weighted_row_norms_equal_weighted_norm_of_each_row_bitwise(block, p, w):
+    rows = weighted_row_norms(block, w, p)
+    assert rows.shape == (block.shape[0],)
+    for value, row in zip(rows, block):
+        expected = np.float64(_weighted_norm_reference(row, w, p)).tobytes()
+        assert value.tobytes() == np.float64(weighted_norm(row, w, p)).tobytes() == expected
+
+
+def test_weighted_row_norms_validation():
+    w = Weight("moderate")
+    with pytest.raises(ValueError, match="two-dimensional"):
+        weighted_row_norms(np.ones(3), w, 2)
+    with pytest.raises(ValueError, match="p must be"):
+        weighted_row_norms(np.ones((2, 3)), w, 0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        weighted_row_norms(np.array([[1.0, math.inf]]), w, 2)
