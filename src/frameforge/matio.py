@@ -4,14 +4,22 @@ Two interchangeable matrix encodings:
 
 * CSV: N rows by N columns, complex entries written as ``re+imj`` (real
   matrices write plain floats).  Entries round-trip exactly through the
-  shortest-repr float format.
+  shortest-repr float format, except that a negative-zero imaginary part
+  is written as ``+0.0j``.  Zero entries are written as the one token
+  ``0.0`` (real) or ``0.0+0.0j`` (complex), and the writer and the reader
+  do per-entry Python work only for the other cells, so the cost of a
+  banded matrix scales with its non-zero entries.
 * Binary: 16-byte header (magic ``FFMX``, little-endian u32 N, u32 flags,
   4 reserved bytes) followed by row-major little-endian float64 data;
-  flag bit 0 marks complex data stored as interleaved (re, im) pairs.
+  flag bit 0 marks complex data stored as interleaved (re, im) pairs.  A
+  file is exactly 16 + 8 N^2 bytes (real) or 16 + 16 N^2 bytes (complex);
+  any other length is rejected.
 
 Either file may carry a JSON sidecar at ``<file>.json`` holding
 ``{"n", "margin", "dtype"}`` plus, for frame systems, ``{"label",
-"reference"}``.
+"reference"}``.  A sidecar whose ``n`` differs from the matrix size, or
+whose ``dtype`` is ``f64`` while the data has a non-zero imaginary part,
+is rejected with ValueError.
 """
 
 from __future__ import annotations
@@ -51,6 +59,23 @@ def _format_entry(z, complex_entries: bool) -> str:
     return repr(float(z))
 
 
+def _format_csv(entries, complex_entries: bool) -> str:
+    """CSV text of a square matrix; only cells whose bits are not all zero are formatted."""
+    data = np.ascontiguousarray(entries, dtype=complex if complex_entries else float)
+    n = data.shape[0]
+    # Testing the bit patterns, not ``!= 0``, keeps -0.0 off the zero token.
+    nonzero = data.view(np.int64).reshape(n, n, 2 if complex_entries else 1).any(axis=2)
+    zero = _format_entry(0.0, complex_entries)
+    lines = []
+    for row, flags in zip(data, nonzero):
+        cells = [zero] * n
+        cols = np.flatnonzero(flags)
+        for col, z in zip(cols.tolist(), row[cols].tolist()):
+            cells[col] = _format_entry(z, complex_entries)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def _write_sidecar(path, n: int, margin: int, complex_entries: bool, extra=None):
     meta = {"n": n, "margin": margin, "dtype": "c128" if complex_entries else "f64"}
     if extra:
@@ -65,18 +90,10 @@ def save_matrix(path, a: TruncatedMatrix, binary: bool = False, extra_meta=None)
     if binary:
         flags = _FLAG_COMPLEX if complex_entries else 0
         header = struct.pack("<4sII4x", MAGIC, a.n, flags)
-        if complex_entries:
-            data = np.empty((a.n, a.n, 2))
-            data[..., 0] = a.entries.real
-            data[..., 1] = a.entries.imag
-        else:
-            data = np.asarray(a.entries, dtype=float)
-        path.write_bytes(header + data.astype("<f8").tobytes())
+        data = np.asarray(a.entries, dtype="<c16" if complex_entries else "<f8")
+        path.write_bytes(header + data.tobytes())
     else:
-        rows = []
-        for row in a.entries:
-            rows.append(",".join(_format_entry(z, complex_entries) for z in row))
-        path.write_text("\n".join(rows) + "\n")
+        path.write_text(_format_csv(a.entries, complex_entries))
     _write_sidecar(path, a.n, a.margin, complex_entries, extra_meta)
 
 
@@ -88,18 +105,22 @@ def _load_sidecar(path) -> dict:
 
 
 def _parse_csv(text: str):
-    rows = []
-    complex_seen = False
-    for line in text.strip().splitlines():
-        cells = []
-        for cell in line.split(","):
-            cell = cell.strip()
-            if "j" in cell:
-                complex_seen = True
-            cells.append(complex(cell))
-        rows.append(cells)
-    arr = np.asarray(rows, dtype=complex)
-    return arr if complex_seen else arr.real.copy()
+    lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError("no rows")
+    width = len(lines[0].split(","))
+    arr = np.zeros((len(lines), width), dtype=complex)
+    # Cells that are exactly a zero token the writer emits keep the zero
+    # already in ``arr``; every other cell goes through complex().
+    zero_re, zero_c = _format_entry(0.0, False), _format_entry(0.0, True)
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"row {i + 1} has {len(cells)} cells, row 1 has {width}")
+        cols = [j for j, cell in enumerate(cells) if cell != zero_c and cell != zero_re]
+        if cols:
+            arr[i, cols] = [complex(cells[j].strip()) for j in cols]
+    return arr if "j" in text else arr.real.copy()
 
 
 def _parse_binary(blob: bytes):
@@ -107,12 +128,12 @@ def _parse_binary(blob: bytes):
         raise ValueError("not a FFMX binary matrix file")
     _, n, flags = struct.unpack("<4sII", blob[:12])
     complex_entries = bool(flags & _FLAG_COMPLEX)
-    count = n * n * (2 if complex_entries else 1)
-    data = np.frombuffer(blob, dtype="<f8", offset=16, count=count)
-    if complex_entries:
-        data = data.reshape(n, n, 2)
-        return data[..., 0] + 1j * data[..., 1]
-    return data.reshape(n, n).copy()
+    size = 16 + 8 * n * n * (2 if complex_entries else 1)
+    if len(blob) != size:
+        kind = "complex" if complex_entries else "real"
+        raise ValueError(f"FFMX file has {len(blob)} bytes, a {kind} N={n} matrix needs {size}")
+    data = np.frombuffer(blob, dtype="<c16" if complex_entries else "<f8", offset=16)
+    return data.reshape(n, n).astype(complex if complex_entries else float)
 
 
 def load_matrix(path) -> TruncatedMatrix:
@@ -121,17 +142,16 @@ def load_matrix(path) -> TruncatedMatrix:
     if not path.exists():
         raise FileNotFoundError(path)
     blob = path.read_bytes()
-    if blob[:4] == MAGIC:
-        arr = _parse_binary(blob)
-    else:
-        try:
-            arr = _parse_csv(blob.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as err:
-            raise ValueError(f"cannot parse matrix file {path}: {err}") from err
+    try:
+        arr = _parse_binary(blob) if blob[:4] == MAGIC else _parse_csv(blob.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as err:
+        raise ValueError(f"cannot parse matrix file {path}: {err}") from err
     meta = _load_sidecar(path)
     if "n" in meta and meta["n"] != arr.shape[0]:
         raise ValueError("sidecar size disagrees with the matrix file")
     if meta.get("dtype") == "f64" and np.iscomplexobj(arr):
+        if np.any(arr.imag != 0):
+            raise ValueError("sidecar dtype f64 disagrees with the complex entries of the matrix file")
         arr = arr.real.copy()
     margin = int(meta.get("margin", -1))
     return TruncatedMatrix(arr, margin=margin)
@@ -177,6 +197,8 @@ def _explicit_rows(a_field, r: int) -> np.ndarray:
         if arr.ndim == 2 and arr.shape[1] == 2:
             arr = arr[:, 0] + 1j * arr[:, 1]
         rows.append(arr)
+    if len(rows) != r:
+        raise ValueError(f"{len(rows)} rows for r = {r}")
     width = max(len(row) for row in rows)
     a = np.zeros((r, width), dtype=complex if any(np.iscomplexobj(x) for x in rows) else float)
     for i, row in enumerate(rows):

@@ -10,7 +10,8 @@ import pytest
 from frameforge import cli
 from frameforge.cli import main
 from frameforge.envelopes import TruncatedMatrix
-from frameforge.matio import load_frame_system, save_matrix
+from frameforge.matio import load_frame_system, save_matrix, sidecar_path
+from test_matio import reference_format_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -99,6 +100,65 @@ def test_fit_malformed_matrix_exit_3(tmp_path):
     bad.write_text("1.0,zzz\n2.0,3.0\n")
     cfg = write_config(tmp_path, "fit.json", {"matrix": str(bad), "betas": [1.0]})
     assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+
+def _truncated_ffmx(path):
+    save_matrix(path, TruncatedMatrix(np.eye(8)), binary=True)
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _ffmx_with_trailing_bytes(path):
+    save_matrix(path, TruncatedMatrix(np.eye(8)), binary=True)
+    path.write_bytes(path.read_bytes() + bytes(8))
+
+
+def _complex_ffmx_flag_cleared(path):
+    save_matrix(path, TruncatedMatrix(np.eye(8) + 0.5j * np.eye(8, k=1)), binary=True)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + bytes(4) + blob[12:])
+
+
+def _complex_csv_f64_sidecar(path):
+    save_matrix(path, TruncatedMatrix(np.eye(8) + 1j * np.eye(8, k=1)))
+    sidecar_path(path).write_text(json.dumps({"n": 8, "margin": 1, "dtype": "f64"}))
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        ("m.ffmx", _truncated_ffmx),
+        ("m.ffmx", _ffmx_with_trailing_bytes),
+        ("m.ffmx", _complex_ffmx_flag_cleared),
+        ("m.csv", _complex_csv_f64_sidecar),
+    ],
+)
+def test_inconsistent_matrix_file_exit_3(tmp_path, capsys, name, write):
+    matrix = tmp_path / name
+    write(matrix)
+    cfg = write_config(tmp_path, "dual.json", {"matrix": str(matrix), "beta": 1.0})
+    out = tmp_path / "out"
+    assert main(["dual", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_gen_complex_csv_matches_per_entry_writer_then_dual(tmp_path):
+    n = 64
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(-0.1, 0.1, (n, 2)).tolist() for _ in range(2)]
+    spec = {"r": 2, "eps": [0.36, 0.15], "a": rows}
+    cfg = write_config(tmp_path, "gen.json", {"spec": spec, "n": n, "margin": 4, "label": "c64"})
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path)]) == 0
+    expected = np.eye(n, dtype=complex)
+    for shift, row in enumerate(rows, start=1):
+        for k in range(n - shift):
+            expected[k, k + shift] = complex(*row[k])
+    csv = tmp_path / "c64.csv"
+    assert csv.read_text() == reference_format_csv(expected)
+    dcfg = write_config(tmp_path, "dual.json", {"matrix": str(csv), "beta": 1.0})
+    assert main(["dual", "--config", dcfg, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "dual.json").read_text())["dual"]["gamma"] > 0
 
 
 def test_missing_config_exit_3(tmp_path):
@@ -340,6 +400,8 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "samples": 3,
         ("report", dict(SMALL_REPORT, p="x", weight={"kind": "moderate", "k": 1.0})),
         ("gen", {"spec": dict(SPEC, eps=0.5), "n": 32}),
         ("gen", {"spec": dict(SPEC, a={"c": 0.5}), "n": 32}),
+        ("gen", {"spec": {"r": 2, "eps": [0.1, 0.1], "a": [[0.1] * 32]}, "n": 32}),
+        ("gen", {"spec": {"r": 1, "eps": [0.1], "a": [[0.1] * 32, [0.1] * 32]}, "n": 32}),
     ],
 )
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):
