@@ -22,6 +22,14 @@ jaffard        c * e^(-g |m-n|^b)
 =============  ==========================================================
 
 The diagonal n = m always belongs to the decaying branch.
+
+``poly_dstar``, ``grdecay`` and ``jaffard`` depend on (m, n) only through
+d = |m-n|: membership constants and excesses evaluate them once per
+distance of the window, against the largest |A| there, and the other kinds
+at every cell.  A zero entry needs no constant, even where the envelope
+underflows to 0; a non-zero entry there gives +inf.  Decay fits regress
+the log of the same per-distance maxima, dropping those below
+``UNDERFLOW_FLOOR``: the floor applies to fitting only.
 """
 
 from __future__ import annotations
@@ -203,11 +211,6 @@ def envelope_value(env: DecayEnvelope, m, n):
     return out
 
 
-def _window_grid(a: TruncatedMatrix):
-    idx = a.window_indices()
-    return np.meshgrid(idx, idx, indexing="ij")
-
-
 def apply_matrix(a: TruncatedMatrix, c):
     """Finite matrix-vector product (A c)_m = sum_n A[m,n] c_n."""
     c = as_sequence(c)
@@ -224,11 +227,23 @@ def _max_ratio(sub: np.ndarray, vals) -> float:
     return float(np.max(ratio))
 
 
+def _distance_maxima(win: np.ndarray) -> np.ndarray:
+    """max |entry| of the square ``win`` at each distance d = |m-n|, one diagonal view at a time."""
+    k = win.shape[0]
+    return np.array([max(np.abs(win.diagonal(d)).max(), np.abs(win.diagonal(-d)).max()) for d in range(k)])
+
+
+_DISTANCE_KINDS = ("poly_dstar", "grdecay", "jaffard")
+
+
 def membership_constant(a: TruncatedMatrix, env: DecayEnvelope) -> float:
     """Smallest constant making |A| <= C * envelope hold on the window.
 
     The envelope's own constants are ignored (set to 1), so the return
-    value is directly comparable across matrices.
+    value is directly comparable across matrices.  ``poly_dstar``,
+    ``grdecay`` and ``jaffard`` are evaluated once per distance |m-n|.  A
+    zero entry counts 0 even over an envelope that underflows to 0, a
+    non-zero one there gives +inf; ``UNDERFLOW_FLOOR`` is not applied.
     """
     return envelope_excess(a, env.unit())
 
@@ -239,12 +254,15 @@ def envelope_excess(a: TruncatedMatrix, env: DecayEnvelope) -> float:
     <= 1 means the matrix satisfies the declared envelope there.
     """
     w = a.window
-    sub = np.abs(a.entries[w, w])
-    if sub.size == 0:
+    win = a.entries[w, w]
+    if win.size == 0:
         raise ValueError("interior window is empty")
-    mm, nn = _window_grid(a)
-    vals = envelope_value(env, mm, nn)
-    return _max_ratio(sub, vals)
+    idx = a.window_indices()
+    if env.kind in _DISTANCE_KINDS:
+        # d = |m - n| runs over 0 .. k-1 down the first column; rounded division
+        # by one positive value is monotone, so the largest entry gives the max
+        return _max_ratio(_distance_maxima(win), envelope_value(env, idx, idx[0]))
+    return _max_ratio(np.abs(win), envelope_value(env, idx[:, None], idx[None, :]))
 
 
 class InsufficientDecayData(ValueError):
@@ -262,38 +280,28 @@ class DecayFit:
         return math.isinf(self.gamma)
 
 
-def _antidiagonal_maxima(a: TruncatedMatrix, margin: int | None):
-    m = a.margin if margin is None else int(margin)
-    if not 0 <= m < a.n / 2:
-        raise ValueError("margin must satisfy 0 <= margin < N/2")
-    sub = np.abs(a.entries[m : a.n - m, m : a.n - m])
-    k = sub.shape[0]
-    dmax = k - 1
-    ds, maxima = [], []
-    for d in range(1, dmax + 1):
-        mx = max(np.max(np.diag(sub, d)), np.max(np.diag(sub, -d)))
-        if mx >= UNDERFLOW_FLOOR:
-            ds.append(d)
-            maxima.append(mx)
-    diag_max = float(np.max(np.diag(sub))) if k else 0.0
-    return np.asarray(ds, dtype=float), np.asarray(maxima, dtype=float), diag_max
+def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
+    """Least-squares line y ~ intercept - gamma * x: the rate, e^intercept and the max residual."""
+    design = np.column_stack([x, np.ones_like(x)])
+    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = float(np.max(np.abs(design @ sol - y)))
+    return DecayFit(gamma=max(0.0, -float(sol[0])), c=float(np.exp(sol[1])), residual=resid)
 
 
 def _fit_antidiagonals(a: TruncatedMatrix, margin: int | None, abscissa) -> DecayFit:
     # regress log anti-diagonal maxima on abscissa(distance)
     if a.n < 16:
         raise ValueError("need N >= 16 to fit a decay profile")
-    ds, maxima, diag_max = _antidiagonal_maxima(a, margin)
+    m = a.margin if margin is None else int(margin)
+    if not 0 <= m < a.n / 2:
+        raise ValueError("margin must satisfy 0 <= margin < N/2")
+    maxima = _distance_maxima(a.entries[m : a.n - m, m : a.n - m])
+    ds = np.flatnonzero(maxima[1:] >= UNDERFLOW_FLOOR) + 1
     if ds.size == 0:
-        return DecayFit(gamma=math.inf, c=diag_max, residual=0.0)
+        return DecayFit(gamma=math.inf, c=float(maxima[0]), residual=0.0)
     if ds.size < 3:
         raise InsufficientDecayData("fewer than 3 usable anti-diagonals")
-    x, y = abscissa(ds), np.log(maxima)
-    design = np.column_stack([x, np.ones_like(x)])
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    slope, intercept = sol
-    resid = float(np.max(np.abs(design @ sol - y)))
-    return DecayFit(gamma=max(0.0, -float(slope)), c=float(np.exp(intercept)), residual=resid)
+    return _log_linear_fit(abscissa(ds.astype(float)), np.log(maxima[ds]))
 
 
 def fit_decay(a: TruncatedMatrix, beta: float, margin: int | None = None) -> DecayFit:
@@ -301,10 +309,11 @@ def fit_decay(a: TruncatedMatrix, beta: float, margin: int | None = None) -> Dec
 
     Regresses log of the per-anti-diagonal maxima against distance^beta
     for distances d = 1 .. N - 2*margin - 1, skipping anti-diagonals whose
-    maximum is below 1e-300.  A matrix with no off-diagonal mass at all is
-    reported with the +inf sentinel rate (it decays faster than any
-    envelope of this form); one with fewer than 3 populated anti-diagonals
-    carries too little data to fit and raises InsufficientDecayData.
+    maximum is below ``UNDERFLOW_FLOOR``.  A matrix with no off-diagonal
+    mass at all is reported with the +inf sentinel rate (it decays faster
+    than any envelope of this form); one with fewer than 3 populated
+    anti-diagonals carries too little data to fit and raises
+    InsufficientDecayData.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")

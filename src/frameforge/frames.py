@@ -27,12 +27,13 @@ from .envelopes import (
     DecayFit,
     InsufficientDecayData,
     TruncatedMatrix,
+    envelope_value,
     fit_decay,
     fit_poly_decay,
     membership_constant,
     p_series,
 )
-from .weights import Weight, as_sequence, weighted_row_norms
+from .weights import Weight, _to_json_list, as_sequence, weighted_row_norms
 
 __all__ = [
     "DualLocalizationReport",
@@ -250,14 +251,7 @@ class PerturbationSpec:
         return cls(r=values.size, a=a, eps=tuple(np.atleast_1d(eps)))
 
     def to_json(self) -> dict:
-        rows = []
-        for i in range(self.r):
-            row = self.a[i]
-            if np.iscomplexobj(row):
-                rows.append([[float(v.real), float(v.imag)] for v in row])
-            else:
-                rows.append([float(v) for v in row])
-        return {"r": self.r, "eps": list(self.eps), "a": rows}
+        return {"r": self.r, "eps": list(self.eps), "a": [_to_json_list(row) for row in self.a]}
 
 
 def build_perturbed_basis(spec: PerturbationSpec, n: int) -> tuple[FrameSystem, int]:
@@ -459,16 +453,16 @@ def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDe
 
     The inverse is computed by direct dense solve; also reports the
     fitted decay rate of the inverse, which should dominate the predicted
-    rate.
+    rate.  The bound is the ``jaffard`` envelope, so a report whose
+    ``gamma1_pred`` is not positive raises ValueError.
     """
+    env = DecayEnvelope("jaffard", gamma=report.gamma1_pred, beta=report.beta, c=report.c_inv_pred)
     inv = np.linalg.inv(a.entries)
     inv_mat = TruncatedMatrix(inv, margin=a.margin)
     w = inv_mat.window
     sub = np.abs(inv[w, w])
     idx = inv_mat.window_indices()
-    mm, nn = np.meshgrid(idx, idx, indexing="ij")
-    bound = report.c_inv_pred * np.exp(-report.gamma1_pred * np.abs(mm - nn) ** report.beta)
-    violations = int(np.sum(sub > bound))
+    violations = int(np.sum(sub > envelope_value(env, idx[:, None], idx[None, :])))
     fit = fit_decay(inv_mat, report.beta)
     return InverseDecayReport(
         violations=violations,

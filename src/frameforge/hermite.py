@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
-from .weights import as_sequence
+from .envelopes import UNDERFLOW_FLOOR, _log_linear_fit
+from .weights import _from_json_list, _to_json_list, as_sequence
 
 __all__ = [
     "CoefficientDecayReport",
@@ -42,7 +43,6 @@ __all__ = [
 
 _RENORM_THRESHOLD = 1e250
 _RENORM_LOG = 250.0 * math.log(10.0)
-_UNDERFLOW_FLOOR = 1e-300
 
 
 def hermite_function_table(kmax: int, x) -> np.ndarray:
@@ -171,11 +171,11 @@ class TestFunction:
         if self.kind == "gaussian":
             return {"kind": "gaussian", "a": self.a}
         if self.kind == "hermite_combo":
-            return {"kind": "hermite_combo", "coeffs": _jsonify(self.coeffs)}
+            return {"kind": "hermite_combo", "coeffs": _to_json_list(self.coeffs)}
         return {
             "kind": "sampled",
             "grid": self.grid.tolist(),
-            "values": _jsonify(self.values),
+            "values": _to_json_list(self.values),
         }
 
     @classmethod
@@ -184,23 +184,10 @@ class TestFunction:
         if kind == "gaussian":
             return cls.gaussian(d["a"])
         if kind == "hermite_combo":
-            return cls.hermite_combo(_unjsonify(d["coeffs"]))
+            return cls.hermite_combo(_from_json_list(d["coeffs"]))
         if kind == "sampled":
-            return cls.sampled(d["grid"], _unjsonify(d["values"]))
+            return cls.sampled(d["grid"], _from_json_list(d["values"]))
         raise ValueError(f"unknown test function kind {kind!r}")
-
-
-def _jsonify(values: np.ndarray):
-    if np.iscomplexobj(values):
-        return [[float(v.real), float(v.imag)] for v in values]
-    return [float(v) for v in values]
-
-
-def _unjsonify(data):
-    arr = np.asarray(data)
-    if arr.ndim == 2 and arr.shape[1] == 2:
-        return arr[:, 0] + 1j * arr[:, 1]
-    return arr.astype(float)
 
 
 def project(ctx: HermiteContext, f: TestFunction, n: int) -> np.ndarray:
@@ -254,8 +241,8 @@ def classify_coefficient_decay(c, beta_grid=(0.25, 0.5, 0.75, 1.0)) -> Coefficie
     sup, i.e. the weighted sup is still carried by the head of the
     sequence; the reported order is the last stable level before the
     first unstable one (capped at 20).  Rate fits regress log|c_n| on
-    n^beta, skipping entries below 1e-300; fewer than 3 usable entries
-    yields the +inf sentinel rate.
+    n^beta, skipping entries below ``UNDERFLOW_FLOOR``; fewer than 3
+    usable entries yields the +inf sentinel rate.
     """
     c = as_sequence(c)
     if c.size < 32:
@@ -278,19 +265,13 @@ def classify_coefficient_decay(c, beta_grid=(0.25, 0.5, 0.75, 1.0)) -> Coefficie
             break
 
     fits = []
-    usable = absc >= _UNDERFLOW_FLOOR
+    usable = absc >= UNDERFLOW_FLOOR
     for beta in beta_grid:
         if not 0.0 < beta <= 1.0:
             raise ValueError("beta grid entries must lie in (0, 1]")
         if np.count_nonzero(usable) < 3:
             fits.append(SubexpFit(beta=beta, gamma=math.inf, c=float(np.max(absc, initial=0.0)), residual=0.0))
             continue
-        x = n[usable] ** beta
-        y = logc[usable]
-        design = np.column_stack([x, np.ones_like(x)])
-        sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = float(np.max(np.abs(design @ sol - y)))
-        fits.append(
-            SubexpFit(beta=beta, gamma=max(0.0, -float(sol[0])), c=float(np.exp(sol[1])), residual=resid)
-        )
+        fit = _log_linear_fit(n[usable] ** beta, logc[usable])
+        fits.append(SubexpFit(beta=beta, gamma=fit.gamma, c=fit.c, residual=fit.residual))
     return CoefficientDecayReport(poly_order=max(poly_order, 0), subexp=tuple(fits))

@@ -32,6 +32,7 @@ import numpy as np
 
 from .envelopes import TruncatedMatrix
 from .frames import FrameSystem, PerturbationSpec
+from .weights import _from_json_list
 
 __all__ = [
     "load_frame_system",
@@ -120,7 +121,7 @@ def _parse_csv(text: str):
         cols = [j for j, cell in enumerate(cells) if cell != zero_c and cell != zero_re]
         if cols:
             arr[i, cols] = [complex(cells[j].strip()) for j in cols]
-    return arr if "j" in text else arr.real.copy()
+    return arr if "j" in text or "J" in text else arr.real.copy()
 
 
 def _parse_binary(blob: bytes):
@@ -191,12 +192,7 @@ def _constant_rows(a_field: dict, r: int, n: int) -> np.ndarray:
 
 
 def _explicit_rows(a_field, r: int) -> np.ndarray:
-    rows = []
-    for row in a_field:
-        arr = np.asarray(row)
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            arr = arr[:, 0] + 1j * arr[:, 1]
-        rows.append(arr)
+    rows = [_from_json_list(row) for row in a_field]
     if len(rows) != r:
         raise ValueError(f"{len(rows)} rows for r = {r}")
     width = max(len(row) for row in rows)

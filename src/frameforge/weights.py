@@ -121,6 +121,21 @@ def as_sequence(values, ndim: int = 1) -> np.ndarray:
     return c
 
 
+def _to_json_list(values: np.ndarray) -> list:
+    """JSON form of a 1-D array: floats, or [re, im] pairs when it is complex."""
+    if np.iscomplexobj(values):
+        return [[float(v.real), float(v.imag)] for v in values]
+    return [float(v) for v in values]
+
+
+def _from_json_list(data) -> np.ndarray:
+    """Inverse of ``_to_json_list``; pairs become complex bit for bit (``re + 1j*im`` loses a -0.0 real part)."""
+    arr = np.asarray(data)
+    if arr.ndim == 2 and arr.shape[1] == 2:
+        return np.ascontiguousarray(arr, dtype=float).view(complex)[:, 0]
+    return arr.astype(float)
+
+
 def _log_abs(c: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(np.abs(c).astype(float))

@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frameforge import envelopes
 from frameforge.envelopes import (
     DecayEnvelope,
     InsufficientDecayData,
@@ -10,8 +14,10 @@ from frameforge.envelopes import (
     apply_matrix,
     check_implication_chain,
     convolution_constant,
+    envelope_excess,
     envelope_value,
     fit_decay,
+    fit_poly_decay,
     membership_constant,
     p_series,
     poly_continuity_bound,
@@ -21,6 +27,7 @@ from frameforge.envelopes import (
     subexp_continuity_bound,
     verify_fixed_level_continuity,
 )
+from frameforge.frames import JaffardReport, verify_inverse_decay
 
 # frozen oracle values (mpmath, 30 digits)
 P_1_HALF = 2.67040681796633972
@@ -419,3 +426,151 @@ def test_verify_fixed_level_continuity_rejects_violator():
     bad = TruncatedMatrix(np.ones((64, 64)))
     with pytest.raises(ValueError, match="envelope violated"):
         verify_fixed_level_continuity(bad, env, trials=2)
+
+
+# ------------------------------------------- per-distance path vs per cell
+#
+# References: the per-cell meshgrid evaluation and the per-diagonal loop that
+# membership constants, decay fits and the inverse-decay check used before
+# they shared one per-distance maxima helper.  The shared path must give the
+# same numbers bit for bit, inf included.
+
+
+def reference_envelope_excess(a, env):
+    w = a.window
+    sub = np.abs(a.entries[w, w])
+    idx = a.window_indices()
+    mm, nn = np.meshgrid(idx, idx, indexing="ij")
+    vals = envelope_value(env, mm, nn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sub == 0.0, 0.0, sub / vals)
+    return float(np.max(ratio))
+
+
+def reference_fit(a, margin, abscissa):
+    """(gamma, c, residual) of the per-diagonal regression, or None for too few diagonals."""
+    m = a.margin if margin is None else margin
+    sub = np.abs(a.entries[m : a.n - m, m : a.n - m])
+    ds, maxima = [], []
+    for d in range(1, sub.shape[0]):
+        mx = max(np.max(np.diag(sub, d)), np.max(np.diag(sub, -d)))
+        if mx >= 1e-300:
+            ds.append(d)
+            maxima.append(mx)
+    if not ds:
+        return math.inf, float(np.max(np.diag(sub))), 0.0
+    if len(ds) < 3:
+        return None
+    x, y = abscissa(np.asarray(ds, dtype=float)), np.log(np.asarray(maxima, dtype=float))
+    design = np.column_stack([x, np.ones_like(x)])
+    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = float(np.max(np.abs(design @ sol - y)))
+    return max(0.0, -float(sol[0])), float(np.exp(sol[1])), resid
+
+
+def reference_inverse_violations(inv, margin, gamma1, beta, c_inv):
+    k = inv.shape[0]
+    sub = np.abs(inv[margin : k - margin, margin : k - margin])
+    idx = np.arange(margin + 1, k - margin + 1)
+    mm, nn = np.meshgrid(idx, idx, indexing="ij")
+    return int(np.sum(sub > c_inv * np.exp(-gamma1 * np.abs(mm - nn) ** beta)))
+
+
+def hand_built_report(**values):
+    """A JaffardReport with every field 1.0 but those given."""
+    fields = {f.name: 1.0 for f in dataclasses.fields(JaffardReport)}
+    return JaffardReport(**{**fields, **values})
+
+
+def fit_or_none(fit, *args):
+    try:
+        f = fit(*args)
+    except InsufficientDecayData:
+        return None
+    return f.gamma, f.c, f.residual
+
+
+_rates = st.floats(min_value=1e-3, max_value=50.0)
+_orders = st.floats(min_value=0.05, max_value=1.0)
+_consts = st.floats(min_value=0.0, max_value=1e3)
+
+
+@st.composite
+def _envelopes(draw):
+    kind = draw(st.sampled_from(envelopes._ENVELOPE_KINDS))
+    # steep rates make the envelope underflow to 0 inside the window
+    steep = draw(st.sampled_from([1.0, 1.0, 1.0, 30.0]))
+    return DecayEnvelope(
+        kind,
+        gamma=draw(_rates) * steep,
+        beta=draw(_orders),
+        gamma0=draw(st.floats(min_value=0.0, max_value=5.0)),
+        gamma1=draw(_rates) * steep,
+        eps=draw(st.floats(min_value=1e-3, max_value=5.0)),
+        c=draw(_consts),
+        c0=draw(_consts),
+        c1=draw(_consts),
+    )
+
+
+@st.composite
+def _windowed_matrices(draw):
+    n = draw(st.integers(16, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    idx = np.arange(n)
+    d = np.abs(idx[:, None] - idx[None, :]).astype(float)
+    # decay from none to far past underflow, with subnormal and exact-zero cells
+    rate = draw(st.sampled_from([0.0, 0.3, 2.0, 40.0, 700.0]))
+    mat = np.exp(-rate * d ** draw(_orders)) * rng.uniform(0.5, 2.0, (n, n))
+    if draw(st.booleans()):
+        mat = mat * np.exp(2j * np.pi * rng.random((n, n)))
+    mat[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.2, 0.7, 1.0]))] = 0.0
+    # a strictly dominant diagonal keeps every draw invertible
+    mat[idx, idx] = 1.0 + np.abs(mat).sum(axis=1)
+    margin = draw(st.integers(0, (n - 1) // 2))
+    return TruncatedMatrix(mat, margin=margin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_windowed_matrices(), env=_envelopes())
+def test_membership_and_excess_match_per_cell_reference(a, env):
+    # nan only where a per-cell kind overflows into inf * 0, on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = envelope_excess(a, env), membership_constant(a, env)
+        want = reference_envelope_excess(a, env), reference_envelope_excess(a, env.unit())
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_windowed_matrices(), beta=_orders, margin=st.one_of(st.none(), st.integers(0, 7)))
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_fits_match_per_diagonal_reference(a, beta, margin):
+    assert fit_or_none(fit_decay, a, beta, margin) == reference_fit(a, margin, lambda d: d ** beta)
+    assert fit_or_none(fit_poly_decay, a, margin) == reference_fit(a, margin, np.log1p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=_windowed_matrices(),
+    gamma1=st.floats(min_value=1e-3, max_value=60.0),
+    beta=_orders,
+    c_inv=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_inverse_violations_match_per_cell_reference(a, gamma1, beta, c_inv):
+    report = hand_built_report(gamma1_pred=gamma1, beta=beta, c_inv_pred=c_inv)
+    inv = TruncatedMatrix(np.linalg.inv(a.entries), margin=a.margin)
+    want_fit = reference_fit(inv, None, lambda d: d ** beta)
+    if want_fit is None:  # an inverse with 1 or 2 populated distances cannot be fitted
+        with pytest.raises(InsufficientDecayData):
+            verify_inverse_decay(a, report)
+        return
+    check = verify_inverse_decay(a, report)
+    assert check.violations == reference_inverse_violations(inv.entries, a.margin, gamma1, beta, c_inv)
+    assert check.checked == (a.n - 2 * a.margin) ** 2
+    assert check.gamma_fit_inverse == want_fit[0]
+
+
+def test_verify_inverse_decay_rejects_nonpositive_predicted_rate():
+    for gamma1 in (0.0, -0.5):
+        with pytest.raises(ValueError, match="gamma"):
+            verify_inverse_decay(TruncatedMatrix(np.eye(16)), hand_built_report(gamma1_pred=gamma1))

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frameforge.envelopes import TruncatedMatrix, p_series
+from frameforge.envelopes import DecayEnvelope, TruncatedMatrix, envelope_value, fit_decay, p_series
 from frameforge.frames import (
     FrameSystem,
     PerturbationSpec,
@@ -419,6 +422,57 @@ def test_jaffard_report_consistency_invariants():
     assert rep.p_split == pytest.approx(
         p_series(rep.gamma_prime - rep.gamma_dprime, rep.beta), rel=1e-12
     )
+
+
+# Exact oracle: A = I + t(S + S^T) with 0 < t < 1/2 has the closed-form inverse
+# (A^-1)_ij = (-t)^|i-j| theta_{min(i,j)-1} theta_{N-max(i,j)} / theta_N, where
+# theta_k = theta_{k-1} - t^2 theta_{k-2}, theta_0 = 1, theta_{-1} = 0 (Meurant,
+# 1992), and its entries decay at the sharp rate ln(1/|rho|), with |rho| =
+# 2t / (1 + sqrt(1 - 4t^2)) (Demko, Moss & Smith, 1984).  Below t = 1e-90
+# fewer than 3 distances of the inverse stay above the fitting floor.
+_toeplitz_t = st.floats(min_value=1e-90, max_value=0.45)
+
+
+def exact_tridiagonal_inverse_abs(t, n, idx):
+    """|A^-1| at the 1-based indices ``idx`` x ``idx``, evaluated in mpmath."""
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        theta = [mp.mpf(0), mp.mpf(1)]  # theta_{-1}, theta_0
+        for _ in range(n):
+            theta.append(theta[-1] - t * t * theta[-2])
+
+        def entry(i, j):
+            return t ** abs(i - j) * theta[min(i, j)] * theta[n - max(i, j) + 1] / theta[n + 1]
+
+        return np.array([[float(abs(entry(i, j))) for j in idx] for i in idx])
+
+
+def sharp_toeplitz_rate(t) -> float:
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        return float(mp.log((1 + mp.sqrt(1 - 4 * t * t)) / (2 * t)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(t=_toeplitz_t, n=st.integers(16, 128))
+def test_jaffard_prediction_dominates_exact_toeplitz_inverse(t, n):
+    a = tridiagonal(n, off=t)
+    rep = jaffard_predict(a, beta=1.0, gamma=1.0)
+    assert rep.gamma1_pred <= sharp_toeplitz_rate(t)
+    idx = a.window_indices()
+    env = DecayEnvelope("jaffard", gamma=rep.gamma1_pred, beta=1.0, c=rep.c_inv_pred)
+    bound = envelope_value(env, idx[:, None], idx[None, :])
+    assert np.all(bound >= exact_tridiagonal_inverse_abs(t, n, idx))
+    assert verify_inverse_decay(a, rep).violations == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(t=_toeplitz_t, n=st.integers(256, 512))
+def test_fit_decay_of_toeplitz_inverse_recovers_sharp_rate(t, n):
+    # at N = 128 and below the window's edge effects bias the fit (1e-9 at
+    # N = 128, 7e-6 at N = 64 for t = 0.45)
+    inv = TruncatedMatrix(np.linalg.inv(tridiagonal(n, off=t).entries))
+    assert fit_decay(inv, 1.0).gamma == pytest.approx(sharp_toeplitz_rate(t), rel=1e-12)
 
 
 # ------------------------------------------------- permutation-invariance

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -162,6 +163,14 @@ def test_testfunction_json_round_trip():
             np.testing.assert_array_equal(g.coeffs, f.coeffs)
         else:
             np.testing.assert_array_equal(g.values, f.values)
+
+
+def test_testfunction_json_round_trip_complex_combo_bit_for_bit():
+    coeffs = np.array([complex(-0.0, 0.5), complex(0.25, -0.0), complex(-0.0, -0.0), 5e-324 - 1e300j, 1 + 2j])
+    f = TestFunction.hermite_combo(coeffs)
+    g = TestFunction.from_json(json.loads(json.dumps(f.to_json())))
+    assert g.coeffs.dtype == coeffs.dtype
+    assert g.coeffs.tobytes() == coeffs.tobytes()
 
 
 def test_classify_delta_is_capped():

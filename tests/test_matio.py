@@ -126,6 +126,15 @@ def test_parse_perturbation_spec_explicit_rows():
     np.testing.assert_allclose(spec.a[1], [0.2, 0.05, 0.1])
 
 
+def test_parse_perturbation_spec_keeps_negative_zero_real_parts():
+    d = {"r": 1, "eps": [0.5], "a": [[[-0.0, 0.1], [0.1, -0.0], [-0.0, -0.0]]]}
+    a = parse_perturbation_spec(d, n=3).a[0]
+    assert np.iscomplexobj(a)
+    assert list(np.signbit(a.real)) == [True, False, True]
+    assert list(np.signbit(a.imag)) == [False, True, True]
+    assert a[0].imag == 0.1 and a[1].real == 0.1
+
+
 def test_perturbation_spec_json_round_trip():
     spec = PerturbationSpec(r=2, a=np.array([[0.3, 0.1, 0.2], [0.2, 0.05, 0.1]]), eps=(0.3, 0.2))
     back = parse_perturbation_spec(spec.to_json(), n=3)
@@ -173,7 +182,7 @@ def reference_parse_csv(text):
         cells = []
         for cell in line.split(","):
             cell = cell.strip()
-            if "j" in cell:
+            if "j" in cell.lower():  # complex() accepts J as well as j
                 complex_seen = True
             cells.append(complex(cell))
         rows.append(cells)
@@ -248,6 +257,16 @@ def test_csv_reader_grammar_matches_per_cell_reference(tmp_path_factory, grid, r
             load_matrix(path)
     else:
         assert_bitwise_equal(load_matrix(path).entries, expected)
+
+
+def test_csv_uppercase_j_makes_the_matrix_complex(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1+2J,0.0\n0.0,1.0\n")
+    entries = load_matrix(path).entries
+    assert np.iscomplexobj(entries)
+    np.testing.assert_array_equal(entries, [[1 + 2j, 0], [0, 1]])
+    path.write_text("1.0,0.0\n0.0,1.0\n")
+    assert not np.iscomplexobj(load_matrix(path).entries)
 
 
 def test_csv_zero_tokens_and_ragged_rows(tmp_path):
