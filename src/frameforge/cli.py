@@ -234,7 +234,7 @@ def step_envelope_chain(inv: Invocation) -> dict:
 def step_schur(inv: Invocation, p: float = 2.0) -> dict:
     """Schur bound against sigma_max; at p = 2 the bound must dominate it."""
     bound = envelopes.schur_bound(inv.system.coeffs, p)
-    spectral = float(inv.system.singular_values[0])
+    spectral = math.sqrt(frames.frame_bounds(inv.system)[1])  # sigma_max^2 is the upper frame bound
     return _result(p != 2 or bound >= spectral - 1e-10, schur_bound=bound, spectral_norm=spectral)
 
 

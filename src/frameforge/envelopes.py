@@ -163,6 +163,22 @@ class DecayEnvelope:
         return dataclasses.replace(self, c=1.0, c0=1.0, c1=1.0)
 
 
+def _ratio_form_where_nonfinite(out: np.ndarray, m, n, ratio_form) -> np.ndarray:
+    """Re-evaluate the non-finite cells of the n <= m branch of ``out`` with ``ratio_form``.
+
+    That branch is c1 n^g1 m^-g1 (times a power of m), evaluated as a
+    product of powers: once g1 log N passes ~709, n^g1 overflows and the
+    product is inf, or inf * 0 = nan, though (n/m)^g1 <= 1 there.  Only
+    those cells are recomputed in ratio form; every finite cell keeps its
+    bits.
+    """
+    m, n = np.broadcast_arrays(m, n)
+    bad = (n <= m) & ~np.isfinite(out)
+    if np.any(bad):
+        out[bad] = ratio_form(m[bad], n[bad])
+    return out
+
+
 def envelope_value(env: DecayEnvelope, m, n):
     """Bound the envelope assigns at logical indices (m, n); broadcasts."""
     m = np.asarray(m, dtype=float)
@@ -184,11 +200,15 @@ def envelope_value(env: DecayEnvelope, m, n):
             env.c0 * n ** env.gamma0,
             env.c1 * n ** env.gamma1 * m ** (-env.gamma1),
         )
+        out = _ratio_form_where_nonfinite(out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1)
     elif k == "eq_newdecay":
         out = np.where(
             n > m,
             env.c0 * n ** (-1.0 - env.eps),
             env.c1 * n ** env.gamma1 * m ** (-env.gamma1 - 1.0 - env.eps),
+        )
+        out = _ratio_form_where_nonfinite(
+            out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1 * m ** (-1.0 - env.eps)
         )
     elif k == "grdecay":
         out = env.c * (1.0 + np.abs(m - n)) ** (-env.gamma1 - 1.0 - env.eps)

@@ -73,12 +73,26 @@ class IncompatibleWeight(ValueError):
     """The weight grows too fast for the system's localization order."""
 
 
+def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
+    """Raise LinAlgError unless the ascending eigenvalues of a Gram matrix show full rank.
+
+    The smallest eigenvalue must exceed RANK_TOL**2 (sigma_min > RANK_TOL)
+    and N eps lambda_max: a computed Gram eigenvalue is only accurate to
+    about N eps lambda_max, so below that it cannot be told from 0.
+    """
+    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
+    if not lam_min > max(RANK_TOL ** 2, eigenvalues.size * np.finfo(float).eps * lam_max):
+        raise np.linalg.LinAlgError(message)
+
+
 class FrameSystem:
     """A truncated frame given by its coefficient matrix against the ONB.
 
     Row m holds the Hermite coefficients of the m-th frame element.
-    The singular values and the canonical dual are computed lazily, once
-    per system; instances are treated as immutable after construction.
+    The Gram matrix E^H E, its ascending eigenvalues (the squared singular
+    values of E, whose extremes are the frame bounds) and the canonical
+    dual are computed lazily, once per system; instances are treated as
+    immutable after construction.
     """
 
     def __init__(self, coeffs, label: str = ""):
@@ -96,15 +110,25 @@ class FrameSystem:
         return self.coeffs.entries
 
     @cached_property
-    def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.matrix, compute_uv=False)
+    def gram(self) -> np.ndarray:
+        """E^H E, the transpose of the frame operator matrix.
+
+        Solving for the canonical dual releases it, so a system does not
+        hold a second N x N matrix beside its dual; a later use forms it
+        again.
+        """
+        return self.matrix.conj().T @ self.matrix
+
+    @cached_property
+    def gram_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of the Gram matrix in ascending order."""
+        return np.linalg.eigvalsh(self.gram)
 
     @cached_property
     def canonical_dual(self) -> "FrameSystem":
-        if self.singular_values[-1] <= RANK_TOL:
-            raise np.linalg.LinAlgError("frame operator is rank-deficient at this truncation")
-        gram = self.matrix.conj().T @ self.matrix  # transpose of the frame operator matrix
-        dual = np.linalg.solve(gram, self.matrix.conj().T).conj().T
+        _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
+        dual = np.linalg.solve(self.gram, self.matrix.conj().T).conj().T
+        del self.gram
         return FrameSystem(
             TruncatedMatrix(dual, margin=self.coeffs.margin),
             label=f"dual({self.label})" if self.label else "dual",
@@ -159,9 +183,14 @@ def _trial_blocks(trials: int):
 
 
 def frame_bounds(e: FrameSystem) -> tuple[float, float]:
-    """Truncated frame bounds (sigma_min^2, sigma_max^2)."""
-    s = e.singular_values
-    return float(s[-1] ** 2), float(s[0] ** 2)
+    """Truncated frame bounds: the extreme eigenvalues of the Gram matrix E^H E.
+
+    Both are accurate to about N eps times the upper bound, so a lower
+    bound below that carries no correct digit.  It is clipped at 0, where
+    rounding can leave a singular system's smallest eigenvalue negative.
+    """
+    lam = e.gram_eigenvalues
+    return max(float(lam[0]), 0.0), float(lam[-1])
 
 
 def frame_operator(e: FrameSystem) -> TruncatedMatrix:
@@ -177,6 +206,20 @@ def canonical_dual(e: FrameSystem) -> FrameSystem:
     return e.canonical_dual
 
 
+def _fit_or_sentinel(a: TruncatedMatrix, beta: float | None, poly: bool = False) -> DecayFit:
+    """``fit_decay`` of ``a`` at order ``beta`` (``fit_poly_decay`` with ``poly``), or the sentinel.
+
+    A window with too few populated distances to regress (a strictly
+    banded matrix, or a window only one or two entries wide) is reported
+    with rate +inf, c = max |a| and residual 0: it decays faster than any
+    envelope of either family.
+    """
+    try:
+        return fit_poly_decay(a) if poly else fit_decay(a, beta)
+    except InsufficientDecayData:
+        return DecayFit(gamma=math.inf, c=float(np.max(np.abs(a.entries))), residual=0.0)
+
+
 @dataclass(frozen=True)
 class DualLocalizationReport:
     primal: DecayFit
@@ -190,21 +233,12 @@ def dual_localization_check(
 
     With ``poly=True`` both sides are fitted against ``(1+d)^(-gamma)``,
     otherwise against ``exp(-gamma d^beta)``.  A strictly banded primal
-    (too few populated anti-diagonals to regress) is reported with the
-    +inf sentinel rate; banded systems decay faster than any envelope of
-    either family.
+    is reported with the +inf sentinel rate of ``_fit_or_sentinel``.
     """
     dual = canonical_dual(e)
-
-    def _fit(system: FrameSystem) -> DecayFit:
-        try:
-            if poly:
-                return fit_poly_decay(system.coeffs)
-            return fit_decay(system.coeffs, beta)
-        except InsufficientDecayData:
-            return DecayFit(gamma=math.inf, c=float(np.max(np.abs(system.matrix))), residual=0.0)
-
-    return DualLocalizationReport(primal=_fit(e), dual=_fit(dual))
+    return DualLocalizationReport(
+        primal=_fit_or_sentinel(e.coeffs, beta, poly), dual=_fit_or_sentinel(dual.coeffs, beta, poly)
+    )
 
 
 @dataclass(frozen=True)
@@ -397,17 +431,16 @@ def jaffard_predict(
     if not 0.0 < gpp < gp:
         raise ValueError("gamma_dprime must lie in (0, gamma_prime)")
 
-    s = np.linalg.svd(a.entries, compute_uv=False)
-    if s[-1] <= RANK_TOL:
-        raise np.linalg.LinAlgError("matrix is singular at truncation")
+    aas = a.entries @ a.entries.conj().T
+    lam = np.linalg.eigvalsh(aas)
+    _require_full_rank(lam, "matrix is singular at truncation")
     c_class = membership_constant(a, DecayEnvelope("jaffard", gamma=gamma, beta=beta))
     if not math.isfinite(c_class):
         raise ValueError("matrix does not satisfy the declared decay class on the window")
-    aas = a.entries @ a.entries.conj().T
-    # AA* has eigenvalues s_k^2, so ||AA*|| = s_max^2 and the contraction
-    # Id - AA*/||AA*|| has norm 1 - (s_min/s_max)^2.
-    norm_aas = float(s[0] ** 2)
-    r = 1.0 - float((s[-1] / s[0]) ** 2)
+    # AA* is Hermitian positive definite, so ||AA*|| = lambda_max(AA*) and the
+    # contraction R = Id - AA*/||AA*|| has norm r = 1 - lambda_min/lambda_max.
+    norm_aas = float(lam[-1])
+    r = 1.0 - float(lam[0]) / norm_aas
     if r >= 1.0:
         raise np.linalg.LinAlgError("matrix is singular at truncation")
     c_aas = membership_constant(
@@ -453,8 +486,9 @@ def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDe
 
     The inverse is computed by direct dense solve; also reports the
     fitted decay rate of the inverse, which should dominate the predicted
-    rate.  The bound is the ``jaffard`` envelope, so a report whose
-    ``gamma1_pred`` is not positive raises ValueError.
+    rate, or the +inf sentinel rate of ``_fit_or_sentinel`` when the
+    window is too narrow to fit.  The bound is the ``jaffard`` envelope,
+    so a report whose ``gamma1_pred`` is not positive raises ValueError.
     """
     env = DecayEnvelope("jaffard", gamma=report.gamma1_pred, beta=report.beta, c=report.c_inv_pred)
     inv = np.linalg.inv(a.entries)
@@ -463,11 +497,10 @@ def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDe
     sub = np.abs(inv[w, w])
     idx = inv_mat.window_indices()
     violations = int(np.sum(sub > envelope_value(env, idx[:, None], idx[None, :])))
-    fit = fit_decay(inv_mat, report.beta)
     return InverseDecayReport(
         violations=violations,
         checked=int(sub.size),
-        gamma_fit_inverse=fit.gamma,
+        gamma_fit_inverse=_fit_or_sentinel(inv_mat, report.beta).gamma,
         max_inverse_entry=float(np.max(sub)),
     )
 
@@ -505,15 +538,10 @@ def weighted_operator_norms(
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:
         raise IncompatibleWeight("incompatible weight: weight order must be below the localization order")
-    try:
-        localized = fit_decay(e.coeffs, loc_beta).gamma > 0
-    except InsufficientDecayData:
-        localized = True  # banded cross-Gram decays faster than any rate
-    if not localized:
+    if not _fit_or_sentinel(e.coeffs, loc_beta).gamma > 0:
         raise ValueError("system is not localized; weighted bounds do not apply")
     if trials < 1:
         raise ValueError("need at least one trial")
-    s_transposed = frame_operator(e).entries.T
     rng = np.random.default_rng(seed)
     u_max = t_max = s_max = 0.0
     s_min = math.inf
@@ -526,7 +554,7 @@ def weighted_operator_norms(
             continue
         u_max = max(u_max, float(np.max(weighted_row_norms(analysis(e, f), w, p) / den)))
         t_max = max(t_max, float(np.max(weighted_row_norms(synthesis(e, f), w, p) / den)))
-        s_ratio = weighted_row_norms(f @ s_transposed, w, p) / den
+        s_ratio = weighted_row_norms(f @ e.gram, w, p) / den
         s_max = max(s_max, float(np.max(s_ratio)))
         s_min = min(s_min, float(np.min(s_ratio)))
     return OperatorNormReport(

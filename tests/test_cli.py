@@ -217,6 +217,53 @@ def test_jaffard_banded_matrix_clean(tmp_path):
     assert data["gamma_fit_inverse"] >= data["report"]["gamma1_pred"]
 
 
+def test_jaffard_narrow_window_reports_sentinel_rate(tmp_path):
+    # margin 7 at N = 16 leaves a 2 x 2 window: too few distances to fit the inverse's rate
+    mat = np.eye(16) + 0.3 * np.eye(16, k=1) + 0.3 * np.eye(16, k=-1)
+    path = tmp_path / "band.csv"
+    save_matrix(path, TruncatedMatrix(mat))
+    cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": 1.0, "margin": 7})
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "jaffard.json").read_text())
+    assert data["gamma_fit_inverse"] == "inf"
+    assert data["violations"] == 0 and data["checked"] == 4
+
+
+def test_no_subcommand_calls_the_svd(tmp_path, capsys, monkeypatch):
+    # Every spectral number is an eigenvalue of a Gram matrix the code forms anyway.
+    n = 64
+    path = tmp_path / "band.csv"
+    save_matrix(path, TruncatedMatrix(np.eye(n) + 0.3 * np.eye(n, k=1) + 0.3 * np.eye(n, k=-1), margin=8))
+    complex_spec = {"r": 1, "eps": [0.3], "a": [[[0.18, 0.24]] * n]}
+    runs = {
+        "report": {"spec": SPEC, "n": n, "gamma": 2.0, "levels": [0, 1], "trials": 50, "samples": 5, "seed": 3,
+                   "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}},
+        "jaffard": {"matrix": str(path), "beta": 1.0, "gamma": 1.0},
+        "dual": {"spec": complex_spec, "n": n, "beta": 1.0},
+        "schur": {"matrix": str(path)},
+    }
+
+    def outputs(tag):
+        result = {}
+        for command, payload in runs.items():
+            out = tmp_path / tag / command
+            code = main([command, "--config", write_config(tmp_path, "c.json", payload), "--out", str(out),
+                         "--no-timestamp"])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            result[command] = code, captured.out.replace(str(out), "OUT"), captured.err, files
+        return result
+
+    want = outputs("plain")
+    assert [code for code, *_ in want.values()] == [0, 0, 0, 0]
+
+    def svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert outputs("no_svd") == want
+
+
 def test_gen_binary_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -534,11 +534,56 @@ def _windowed_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(a=_windowed_matrices(), env=_envelopes())
 def test_membership_and_excess_match_per_cell_reference(a, env):
-    # nan only where a per-cell kind overflows into inf * 0, on both sides
+    # the per-cell kinds overflow in n^g1 m^-g1 before their ratio form mends the cell
     with np.errstate(over="ignore", invalid="ignore"):
         got = envelope_excess(a, env), membership_constant(a, env)
         want = reference_envelope_excess(a, env), reference_envelope_excess(a, env.unit())
     np.testing.assert_array_equal(got, want)
+
+
+def product_form(env, m, n):
+    """colrow_poly or eq_newdecay as a product of powers in every cell, as evaluated before the ratio form."""
+    if env.kind == "colrow_poly":
+        return np.where(n > m, env.c0 * n ** env.gamma0, env.c1 * n ** env.gamma1 * m ** (-env.gamma1))
+    return np.where(
+        n > m, env.c0 * n ** (-1.0 - env.eps), env.c1 * n ** env.gamma1 * m ** (-env.gamma1 - 1.0 - env.eps)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["colrow_poly", "eq_newdecay"]),
+    gamma1=st.floats(min_value=1e-3, max_value=400.0),
+    gamma0=st.floats(min_value=0.0, max_value=5.0),
+    eps=st.floats(min_value=1e-3, max_value=5.0),
+    c1=st.floats(min_value=0.0, max_value=1e3),
+    k=st.integers(1, 64),
+)
+def test_steep_per_cell_kinds_stay_finite_and_keep_finite_cells(kind, gamma1, gamma0, eps, c1, k):
+    env = DecayEnvelope(kind, gamma0=gamma0, gamma1=gamma1, eps=eps, c1=c1)
+    mm, nn = np.meshgrid(np.arange(1.0, k + 1), np.arange(1.0, k + 1), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = product_form(env, mm, nn)
+        got = envelope_value(env, mm, nn)
+    finite = np.isfinite(old)
+    np.testing.assert_array_equal(got[finite], old[finite])
+    assert np.all(np.isfinite(got))
+    m, n = mm[~finite], nn[~finite]
+    ratio = c1 * (n / m) ** gamma1 * (1.0 if kind == "colrow_poly" else m ** (-1.0 - eps))
+    np.testing.assert_array_equal(got[~finite], ratio)
+
+
+@pytest.mark.parametrize("kind", ["colrow_poly", "eq_newdecay"])
+def test_membership_constant_of_steep_per_cell_kind_is_not_nan(kind):
+    # gamma1 = 270 puts 48^gamma1 past the double range: the product form gave inf * 0 = nan
+    env = DecayEnvelope(kind, gamma1=270.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a non-zero entry over an envelope that underflows to 0 needs an infinite constant
+        assert membership_constant(TruncatedMatrix(np.full((48, 48), 0.5)), env) == math.inf
+        diagonal = TruncatedMatrix(0.5 * np.eye(48))
+        constant = membership_constant(diagonal, env)
+    last = float(diagonal.window_indices()[-1])  # the diagonal envelope n^(-1-eps) is least there
+    assert constant == (0.5 if kind == "colrow_poly" else 0.5 / last ** (-1.0 - env.eps))
 
 
 @settings(max_examples=200, deadline=None)
@@ -560,14 +605,11 @@ def test_inverse_violations_match_per_cell_reference(a, gamma1, beta, c_inv):
     report = hand_built_report(gamma1_pred=gamma1, beta=beta, c_inv_pred=c_inv)
     inv = TruncatedMatrix(np.linalg.inv(a.entries), margin=a.margin)
     want_fit = reference_fit(inv, None, lambda d: d ** beta)
-    if want_fit is None:  # an inverse with 1 or 2 populated distances cannot be fitted
-        with pytest.raises(InsufficientDecayData):
-            verify_inverse_decay(a, report)
-        return
     check = verify_inverse_decay(a, report)
     assert check.violations == reference_inverse_violations(inv.entries, a.margin, gamma1, beta, c_inv)
     assert check.checked == (a.n - 2 * a.margin) ** 2
-    assert check.gamma_fit_inverse == want_fit[0]
+    # an inverse with 1 or 2 populated distances cannot be fitted: the +inf sentinel rate
+    assert check.gamma_fit_inverse == (math.inf if want_fit is None else want_fit[0])
 
 
 def test_verify_inverse_decay_rejects_nonpositive_predicted_rate():

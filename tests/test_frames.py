@@ -475,6 +475,84 @@ def test_fit_decay_of_toeplitz_inverse_recovers_sharp_rate(t, n):
     assert fit_decay(inv, 1.0).gamma == pytest.approx(sharp_toeplitz_rate(t), rel=1e-12)
 
 
+# Gram spectra.  I + t(S + S^T) is symmetric with eigenvalues
+# 1 + 2t cos(k pi / (N+1)), k = 1..N, so its Gram matrix has their squares.
+
+
+def exact_toeplitz_gram_extremes(t, n):
+    with mp.workdps(40):
+        lam = [(1 + 2 * mp.mpf(t) * mp.cos(k * mp.pi / (n + 1))) ** 2 for k in (1, n)]
+        return float(min(lam)), float(max(lam))
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(min_value=0.0, max_value=0.45, exclude_min=True), n=st.integers(16, 512))
+def test_frame_bounds_match_toeplitz_closed_form(t, n):
+    lo, hi = frame_bounds(FrameSystem(tridiagonal(n, off=t)))
+    want_lo, want_hi = exact_toeplitz_gram_extremes(t, n)
+    assert lo == pytest.approx(want_lo, rel=1e-12, abs=0)
+    assert hi == pytest.approx(want_hi, rel=1e-12, abs=0)
+
+
+def shift_sigma_min_squared(t, n):
+    """sigma_min^2 of I + tS at 50 digits, by Sturm-count bisection.
+
+    E^T E is tridiagonal with diagonal (1, 1+t^2, ..., 1+t^2) and
+    off-diagonal t, and its spectrum lies in [0, (1+t)^2].
+    """
+    with mp.workdps(50):
+        t = mp.mpf(t)
+        diag = [mp.mpf(1)] + [1 + t * t] * (n - 1)
+
+        def below(x):  # eigenvalues of E^T E below x: negative pivots of E^T E - x I
+            count, q = 0, mp.mpf(1)
+            for i, d in enumerate(diag):
+                q = d - x - (t * t / q if i else 0)
+                q = q or mp.mpf(10) ** -100
+                count += q < 0
+            return count
+
+        lo, hi = mp.mpf(0), (1 + t) ** 2
+        for _ in range(180):  # 2^-180 (1+t)^2 is below 1e-50
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        return lo
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.floats(min_value=0.9, max_value=1.0), n=st.integers(16, 128))
+def test_lower_frame_bound_of_near_singular_shift_matches_mpmath(t, n):
+    # sigma_min of I + tS shrinks like 1/N as t -> 1; a computed Gram
+    # eigenvalue is good to N eps lambda_max
+    lo, hi = frame_bounds(FrameSystem(np.eye(n) + t * np.eye(n, k=1)))
+    assert lo > 0
+    assert abs(mp.mpf(lo) - shift_sigma_min_squared(t, n)) <= n * np.finfo(float).eps * hi
+
+
+@st.composite
+def _rank_deficient(draw):
+    """A random N x N product of N x (N-1) and (N-1) x N factors, real or complex."""
+    n = draw(st.integers(4, 96))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        x, y = rng.standard_normal((n, n - 1)), rng.standard_normal((n - 1, n))
+    else:
+        x = rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))
+        y = rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
+    return x @ y
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=_rank_deficient())
+def test_rank_deficient_product_rejected_by_dual_and_jaffard(m):
+    # the computed smallest Gram eigenvalue is rounding noise near eps lambda_max,
+    # often positive and far above RANK_TOL^2, so only the N eps lambda_max term rejects it
+    with pytest.raises(np.linalg.LinAlgError):
+        canonical_dual(FrameSystem(m))
+    with pytest.raises(np.linalg.LinAlgError):
+        jaffard_predict(TruncatedMatrix(m), beta=1.0, gamma=1.0)
+
+
 # ------------------------------------------------- permutation-invariance
 
 
