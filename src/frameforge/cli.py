@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import envelopes, frames, graded, matio
+from . import envelopes, frames, graded, matio, weights
 from .hermite import HermiteContext, TestFunction, project
 from .weights import Weight
 
@@ -134,9 +134,12 @@ FIELDS = {
     "matrix": str, "spec": dict, "n": int, "margin": int, "seed": int, "label": str,
     "format": _one_of("csv", "binary"), "betas": _numbers, "p": float, "beta": float, "gamma": float,
     "gamma_prime": float, "gamma_dprime": float, "eps_free": float, "poly": _one_of(False, True),
-    "family": _one_of(*graded._FAMILIES), "levels": _numbers, "checkpoints": _numbers,
+    "family": _one_of(*weights._FAMILIES), "levels": _numbers, "checkpoints": _numbers,
     "function": _test_function, "samples": int, "trials": int,
 }
+
+# The default of each key that several steps read, the same for all of them.
+DEFAULTS = {"trials": 1000, "levels": (0, 1, 2, 3, 4)}
 
 
 class Invocation:
@@ -152,8 +155,9 @@ class Invocation:
         self.cfg, self.out, self.args = cfg, out, args
 
     def get(self, key: str, default=_REQUIRED):
-        """Field ``key`` passed through its converter in ``FIELDS``, or ``default`` as given when absent."""
+        """Field ``key`` passed through its converter in ``FIELDS``; when absent, its ``DEFAULTS`` entry or ``default``."""
         if key not in self.cfg:
+            default = DEFAULTS.get(key, default)
             if default is _REQUIRED:
                 raise InvalidInput(f"config is missing required field {key!r}")
             return default
@@ -239,8 +243,9 @@ def step_schur(inv: Invocation, p: float = 2.0) -> dict:
 
 
 def step_frame_bounds(inv: Invocation) -> dict:
+    """Frame bounds; they pass only under the dual's rank rule, so a lower bound that is noise fails."""
     a, b = frames.frame_bounds(inv.system)
-    return _result(0.0 < a <= b < math.inf, lower=a, upper=b)
+    return _result(frames._full_rank(inv.system.gram_eigenvalues), lower=a, upper=b)
 
 
 def step_dual_biorthogonality(inv: Invocation) -> dict:
@@ -253,7 +258,7 @@ def step_dual_biorthogonality(inv: Invocation) -> dict:
 def step_example_inequalities(inv: Invocation) -> dict:
     if "matrix" in inv.cfg:
         return {"status": "skipped", "reason": "system not built from a perturbation spec"}
-    trials = inv.get("trials", 1000)
+    trials = inv.get("trials")
     rep = frames.verify_example_inequalities(inv.perturbed[0], inv.system.n, trials, seed=inv.step_seed("example"))
     return _result(rep.all_hold, contraction_max=rep.contraction_max, upper_max=rep.upper_max,
                    lower_min=rep.lower_min)
@@ -269,7 +274,7 @@ def step_expansion(inv: Invocation, f: TestFunction | None = None, checkpoints=N
     """
     system = inv.system
     family, beta = inv.grading()
-    levels = inv.get("levels", [0, 1, 2, 3, 4])
+    levels = inv.get("levels")
     checkpoints = checkpoints or sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
     coeffs = project(inv.hermite, f or TestFunction.gaussian(3.0), system.n)
     curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
@@ -288,7 +293,7 @@ def step_fframe(inv: Invocation) -> dict:
     """Graded frame intervals per level; each must be positive and finite."""
     rng_seed = inv.step_seed("fframe")
     family, beta = inv.grading()
-    levels = inv.get("levels", list(range(11)))
+    levels = inv.get("levels")
     count = inv.get("samples", 20)
     samples = graded.standard_sample_set(inv.hermite, inv.system.n, count=count, seed=rng_seed)
     intervals = {}
@@ -306,7 +311,7 @@ def step_weighted_norms(inv: Invocation) -> dict:
         w = Weight(**inv.cfg["weight"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"invalid weight: {err}") from err
-    p, trials = inv.get("p", 2.0), inv.get("trials", 200)
+    p, trials = inv.get("p", 2.0), inv.get("trials")
     rep = frames.weighted_operator_norms(inv.system, w, p, trials=trials, seed=inv.step_seed("weighted"))
     ok = rep.frame_op_min > 0 and math.isfinite(rep.analysis_max)
     return _result(ok, analysis_max=rep.analysis_max, synthesis_max=rep.synthesis_max,

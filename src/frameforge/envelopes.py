@@ -105,12 +105,11 @@ class TruncatedMatrix:
         """Logical (1-based) indices covered by the interior window."""
         return np.arange(self.margin + 1, self.n - self.margin + 1)
 
-    def leading(self, k: int, margin: int | None = None) -> "TruncatedMatrix":
-        """Leading k x k corner, margin rescaled proportionally by default."""
+    def leading(self, k: int) -> "TruncatedMatrix":
+        """Leading k x k corner, margin rescaled proportionally."""
         if not 1 <= k <= self.n:
             raise ValueError("leading block size out of range")
-        m = (self.margin * k) // self.n if margin is None else margin
-        return TruncatedMatrix(self.entries[:k, :k], margin=m)
+        return TruncatedMatrix(self.entries[:k, :k], margin=(self.margin * k) // self.n)
 
 
 _ENVELOPE_KINDS = (
@@ -308,14 +307,11 @@ def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
     return DecayFit(gamma=max(0.0, -float(sol[0])), c=float(np.exp(sol[1])), residual=resid)
 
 
-def _fit_antidiagonals(a: TruncatedMatrix, margin: int | None, abscissa) -> DecayFit:
+def _fit_antidiagonals(a: TruncatedMatrix, abscissa) -> DecayFit:
     # regress log anti-diagonal maxima on abscissa(distance)
     if a.n < 16:
         raise ValueError("need N >= 16 to fit a decay profile")
-    m = a.margin if margin is None else int(margin)
-    if not 0 <= m < a.n / 2:
-        raise ValueError("margin must satisfy 0 <= margin < N/2")
-    maxima = _distance_maxima(a.entries[m : a.n - m, m : a.n - m])
+    maxima = _distance_maxima(a.entries[a.window, a.window])
     ds = np.flatnonzero(maxima[1:] >= UNDERFLOW_FLOOR) + 1
     if ds.size == 0:
         return DecayFit(gamma=math.inf, c=float(maxima[0]), residual=0.0)
@@ -324,7 +320,7 @@ def _fit_antidiagonals(a: TruncatedMatrix, margin: int | None, abscissa) -> Deca
     return _log_linear_fit(abscissa(ds.astype(float)), np.log(maxima[ds]))
 
 
-def fit_decay(a: TruncatedMatrix, beta: float, margin: int | None = None) -> DecayFit:
+def fit_decay(a: TruncatedMatrix, beta: float) -> DecayFit:
     """Fit |A[m,n]| ~ C exp(-gamma |m-n|^beta) on the interior window.
 
     Regresses log of the per-anti-diagonal maxima against distance^beta
@@ -337,12 +333,12 @@ def fit_decay(a: TruncatedMatrix, beta: float, margin: int | None = None) -> Dec
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    return _fit_antidiagonals(a, margin, lambda d: d ** beta)
+    return _fit_antidiagonals(a, lambda d: d ** beta)
 
 
-def fit_poly_decay(a: TruncatedMatrix, margin: int | None = None) -> DecayFit:
+def fit_poly_decay(a: TruncatedMatrix) -> DecayFit:
     """Fit |A[m,n]| ~ C (1 + |m-n|)^(-gamma); same protocol as fit_decay."""
-    return _fit_antidiagonals(a, margin, np.log1p)
+    return _fit_antidiagonals(a, np.log1p)
 
 
 @dataclass(frozen=True)

@@ -73,15 +73,20 @@ class IncompatibleWeight(ValueError):
     """The weight grows too fast for the system's localization order."""
 
 
-def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
-    """Raise LinAlgError unless the ascending eigenvalues of a Gram matrix show full rank.
+def _full_rank(eigenvalues: np.ndarray) -> bool:
+    """Whether the ascending eigenvalues of a Gram matrix show full rank.
 
     The smallest eigenvalue must exceed RANK_TOL**2 (sigma_min > RANK_TOL)
     and N eps lambda_max: a computed Gram eigenvalue is only accurate to
     about N eps lambda_max, so below that it cannot be told from 0.
     """
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    if not lam_min > max(RANK_TOL ** 2, eigenvalues.size * np.finfo(float).eps * lam_max):
+    return lam_min > max(RANK_TOL ** 2, eigenvalues.size * np.finfo(float).eps * lam_max)
+
+
+def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
+    """Raise LinAlgError unless ``_full_rank`` holds."""
+    if not _full_rank(eigenvalues):
         raise np.linalg.LinAlgError(message)
 
 

@@ -5,10 +5,12 @@ The two norm families are
 * ``poly``:   ||f||_k = l2 norm of (c_n * n^k)
 * ``subexp``: ||f||_k = l2 norm of (c_n * e^{k n^beta})
 
-indexed by a grading level k >= 0.  Membership of an object in the full
-projective limit cannot be certified from finite data; the honest proxy
-used throughout is stability of these norms across levels and under
-doubling the truncation.
+indexed by a grading level k >= 0.  They are computed by the one norm
+kernel of ``weights``, in log space with an exactly rounded power sum, so
+a level norm overflows only when its true value does.  Membership of an
+object in the full projective limit cannot be certified from finite data;
+the honest proxy used throughout is stability of these norms across
+levels and under doubling the truncation.
 """
 
 from __future__ import annotations
@@ -17,12 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .envelopes import _subexp_tail_integral
 from .frames import FrameSystem, analysis, canonical_dual
 from .hermite import HermiteContext, TestFunction, classify_coefficient_decay, project
-from .weights import as_sequence
+from .weights import _graded_row_norms, _log_abs, _log_grading, as_sequence, sup_graded_norm
 
 __all__ = [
     "DistributionCoefficients",
@@ -38,33 +39,10 @@ __all__ = [
     "standard_sample_set",
 ]
 
-_FAMILIES = ("poly", "subexp")
-
-
-def _check_family(family: str, beta: float):
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown norm family {family!r}")
-    if family == "subexp" and not 0.0 < beta <= 1.0:
-        raise ValueError("beta must lie in (0, 1]")
-
 
 def graded_level_norm(c, family: str, k: float, beta: float = 1.0) -> float:
-    """l2 norm of the level-k weighted sequence, computed in log space."""
-    _check_family(family, beta)
-    if k < 0:
-        raise ValueError("grading level must be nonnegative")
-    c = as_sequence(c)
-    if c.size == 0:
-        return 0.0
-    n = np.arange(1, c.size + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(c).astype(float))
-    logs = logs + (k * np.log(n) if family == "poly" else k * n ** beta)
-    logs = logs[logs > -math.inf]
-    if logs.size == 0:
-        return 0.0
-    with np.errstate(over="ignore"):  # a true norm past 1e308 reports inf
-        return float(np.exp(0.5 * logsumexp(2.0 * logs)))
+    """l2 norm of the level-k weighted sequence; a true norm past 1e308 is inf."""
+    return float(_graded_row_norms(as_sequence(c)[None, :], family, k, beta, 2.0)[0])
 
 
 @dataclass(frozen=True)
@@ -112,17 +90,18 @@ def fframe_bounds_estimate(
     norm of the analysis coefficients and the level-k norm of the sample
     itself.  Both ends positive and finite is the finite-truncation
     evidence for a graded frame inequality at this level.  The samples
-    are analysed together, in one matrix product.
+    are analysed together, in one matrix product, and each block of norms
+    is one kernel call.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    dens = [graded_level_norm(f, family, k, beta) for f in samples]
-    if not all(den > 0.0 and math.isfinite(den) for den in dens):
+    samples = as_sequence(np.asarray(samples), ndim=2)
+    dens = _graded_row_norms(samples, family, k, beta, 2.0)
+    if not np.all((dens > 0.0) & np.isfinite(dens)):
         raise ValueError("sample with zero or non-finite level norm")
-    coeffs = analysis(e, np.asarray(samples))
-    ratios = [graded_level_norm(a, family, k, beta) / den for a, den in zip(coeffs, dens)]
-    return min(ratios), max(ratios)
+    ratios = _graded_row_norms(analysis(e, samples), family, k, beta, 2.0) / dens
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def standard_sample_set(ctx: HermiteContext, n: int, count: int = 20, seed: int = 0):
@@ -168,11 +147,8 @@ def expansion_error_curve(
         raise ValueError("checkpoints must be sorted within 1..N")
     dual = canonical_dual(e)
     a = analysis(e, f)
-    errors = []
-    for m in checkpoints:
-        approx = dual.matrix[:m, :].T @ a[:m]
-        errors.append(graded_level_norm(f - approx, family, k, beta))
-    return np.asarray(errors)
+    residuals = np.stack([f - dual.matrix[:m, :].T @ a[:m] for m in checkpoints])
+    return _graded_row_norms(residuals, family, k, beta, 2.0)
 
 
 @dataclass(frozen=True)
@@ -196,10 +172,9 @@ class DistributionCoefficients:
             raise ValueError("growth constant c must be positive")
 
     def validate_growth(self, family: str, beta: float = 1.0):
-        _check_family(family, beta)
         n = np.arange(1, self.b.size + 1, dtype=float)
-        bound = self.c * (n ** self.q if family == "poly" else np.exp(self.q * n ** beta))
-        if np.any(np.abs(self.b) > bound * (1.0 + 1e-12)):
+        log_bound = math.log(self.c) + _log_grading(n, family, self.q, beta) + math.log1p(1e-12)
+        if np.any(_log_abs(self.b) > log_bound):
             raise ValueError("stored entries violate the declared growth bound")
 
 
@@ -224,19 +199,17 @@ def pair_distribution(
     by a summable margin, and the tail bound extrapolates both behaviours
     past the truncation.
     """
-    _check_family(family, beta)
     b.validate_growth(family, beta)
     f = as_sequence(f)
     if f.size != b.b.size:
         raise ValueError("pairing requires matching lengths")
     n_trunc = f.size
     report = classify_coefficient_decay(f)
-    idx = np.arange(1, n_trunc + 1, dtype=float)
     if family == "poly":
         k_f = report.poly_order
         if k_f <= b.q + 1.0:
             raise ValueError("non-summable pairing declared: decay does not dominate growth")
-        majorant = float(np.max(np.abs(f) * idx ** float(k_f)))
+        majorant = sup_graded_norm(f, "poly", k_f)
         tail = b.c * majorant * _poly_tail_integral(k_f - b.q, n_trunc)
     else:
         fit = next((s for s in report.subexp if s.beta == beta), None)
@@ -247,7 +220,7 @@ def pair_distribution(
         else:
             if fit.gamma <= b.q:
                 raise ValueError("non-summable pairing declared: decay does not dominate growth")
-            majorant = float(np.max(np.abs(f) * np.exp(fit.gamma * idx ** beta)))
+            majorant = sup_graded_norm(f, "subexp", fit.gamma, beta)
             tail = b.c * majorant * _subexp_tail_integral(fit.gamma - b.q, beta, n_trunc)
     value = complex(np.sum(f * b.b))
     return PairingResult(value=value, tail_bound=float(tail))
@@ -278,9 +251,9 @@ def property_pg_check(
     often the classes agree: polynomial order within +-1, or
     sub-exponential rate within 10%.
     """
-    _check_family(family, beta)
     rng = np.random.default_rng(seed)
     idx = np.arange(1, e.n + 1, dtype=float)
+    _log_grading(idx, family, 0.0, beta)  # rejects an unknown family or beta
     matched = 0
     details = []
     for _ in range(trials):

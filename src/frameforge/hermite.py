@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import roots_hermite
 
 from .envelopes import UNDERFLOW_FLOOR, _log_linear_fit
-from .weights import _from_json_list, _to_json_list, as_sequence
+from .weights import _from_json_list, _log_grading, _to_json_list, as_sequence
 
 __all__ = [
     "CoefficientDecayReport",
@@ -255,7 +255,7 @@ def classify_coefficient_decay(c, beta_grid=(0.25, 0.5, 0.75, 1.0)) -> Coefficie
     with np.errstate(divide="ignore"):
         logc = np.log(absc)
     for k in range(_POLY_CAP + 1):
-        logs = logc + k * np.log(n)
+        logs = logc + _log_grading(n, "poly", k)
         full = np.max(logs)
         tail = np.max(logs[half:])
         if full == -math.inf:

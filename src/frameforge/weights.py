@@ -4,6 +4,11 @@ Coefficient sequences are plain 1-D numpy arrays indexed logically from 1:
 position ``i`` of an array holds the value at index ``n = i + 1``.  All
 weight evaluation goes through log space so that sub-exponential and
 exponential weights stay usable far past the overflow point of ``exp``.
+
+Every weighted and graded sequence norm goes through one kernel: log weights
+are added to ``log|c_n|``, the terms scaled by the largest, and the power
+sum exactly rounded.  The graded weights n^k (family ``poly``) and
+e^{k n^beta} (``subexp``) are written once, in ``_log_grading``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
 ]
 
 _KINDS = ("moderate", "subexponential", "exponential")
+_FAMILIES = ("poly", "subexp")
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,19 @@ def _log_abs(c: np.ndarray) -> np.ndarray:
         return np.log(np.abs(c).astype(float))
 
 
+def _log_grading(n, family: str, k: float, beta: float = 1.0) -> np.ndarray:
+    """Log of the level-k grading weight at indices n: k log n ("poly") or k n^beta ("subexp")."""
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown norm family {family!r}")
+    if k < 0:
+        raise ValueError("grading level k must be nonnegative")
+    if family == "poly":
+        return k * np.log(n)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
+    return k * n ** beta
+
+
 def weighted_norm(c, w: Weight, p: float) -> float:
     """The l^p_mu norm ``(sum |c_n|^p mu(n)^p)^(1/p)`` over n = 1..N.
 
@@ -150,7 +169,7 @@ def weighted_norm(c, w: Weight, p: float) -> float:
     overflows only when the true norm does.  This is the one-row case of
     ``weighted_row_norms``.
     """
-    return float(_row_norms(as_sequence(c)[None, :], w, p)[0])
+    return float(weighted_row_norms(as_sequence(c)[None, :], w, p)[0])
 
 
 def weighted_row_norms(rows, w: Weight, p: float) -> np.ndarray:
@@ -161,46 +180,43 @@ def weighted_row_norms(rows, w: Weight, p: float) -> np.ndarray:
     is exactly rounded, and the final ``exp``/``log`` take the scalar path
     row by row.
     """
-    return _row_norms(as_sequence(rows, ndim=2), w, p)
+    rows = as_sequence(rows, ndim=2)
+    n = np.arange(1, rows.shape[1] + 1, dtype=float)
+    return _row_norms(rows, log_eval_weight(w, n), p)
 
 
-def _row_norms(rows: np.ndarray, w: Weight, p: float) -> np.ndarray:
+def _graded_row_norms(rows: np.ndarray, family: str, k: float, beta: float, p: float) -> np.ndarray:
+    """The level-k graded l^p norm of each row of a validated 2-D block."""
+    n = np.arange(1, rows.shape[1] + 1, dtype=float)
+    return _row_norms(rows, _log_grading(n, family, k, beta), p)
+
+
+def _row_norms(rows: np.ndarray, log_weights: np.ndarray, p: float) -> np.ndarray:
+    """``(sum_n |c_n|^p e^{p l_n})^(1/p)`` of each row c, for log weights l; p = inf gives the sup.
+
+    Overflow is ignored: a true norm past the double range is inf.
+    """
     if not (p == math.inf or p >= 1):
         raise ValueError("p must be in [1, inf]")
     out = np.zeros(rows.shape[0])
     if rows.shape[1] == 0:
         return out
-    n = np.arange(1, rows.shape[1] + 1, dtype=float)
-    logs = _log_abs(rows) + log_eval_weight(w, n)
+    logs = _log_abs(rows) + log_weights
     peaks = np.max(logs, axis=1)
     if p != math.inf:
         with np.errstate(invalid="ignore"):  # all-zero rows give -inf - -inf; they are skipped
             scaled = np.exp(p * (logs - peaks[:, None]))
-    for i, m in enumerate(peaks):
-        if m == -math.inf:
-            continue
-        if p == math.inf:
-            out[i] = np.exp(m)
-        else:
-            out[i] = np.exp(m + math.log(math.fsum(scaled[i].tolist())) / p)
+    with np.errstate(over="ignore"):
+        for i, m in enumerate(peaks):
+            if m == -math.inf:
+                continue
+            if p == math.inf:
+                out[i] = np.exp(m)
+            else:
+                out[i] = np.exp(m + math.log(math.fsum(scaled[i].tolist())) / p)
     return out
 
 
 def sup_graded_norm(c, family: str, k: float, beta: float = 1.0) -> float:
     """sup_n |c_n| n^k (family "poly") or sup_n |c_n| e^{k n^beta} ("subexp")."""
-    c = as_sequence(c)
-    if k < 0:
-        raise ValueError("grading level k must be nonnegative")
-    if family not in ("poly", "subexp"):
-        raise ValueError(f"unknown norm family {family!r}")
-    if c.size == 0:
-        return 0.0
-    n = np.arange(1, c.size + 1, dtype=float)
-    if family == "poly":
-        logs = _log_abs(c) + k * np.log(n)
-    else:
-        if not 0.0 < beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        logs = _log_abs(c) + k * n ** beta
-    m = np.max(logs)
-    return 0.0 if m == -math.inf else float(np.exp(m))
+    return float(_graded_row_norms(as_sequence(c)[None, :], family, k, beta, math.inf)[0])

@@ -378,6 +378,36 @@ def test_report_incompatible_weight_rejected_not_fatal(tmp_path):
     assert steps["frame_bounds"]["status"] == "pass"
 
 
+def test_report_frame_bounds_fail_with_the_dual_when_the_lower_bound_is_noise(tmp_path):
+    # sigma runs from 2 to 1e-8: lambda_min = 1e-16 lies below N eps lambda_max = 8.5e-14
+    rng = np.random.default_rng(5)
+    q1, _ = np.linalg.qr(rng.standard_normal((96, 96)))
+    q2, _ = np.linalg.qr(rng.standard_normal((96, 96)))
+    path = tmp_path / "near_singular.ffmx"
+    save_matrix(path, TruncatedMatrix(q1 @ np.diag(np.geomspace(2.0, 1e-8, 96)) @ q2.T), binary=True)
+    cfg = write_config(tmp_path, "r.json", {"matrix": str(path), "levels": [0], "samples": 3, "seed": 7})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 1
+    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+    bounds = steps["frame_bounds"]
+    assert bounds["status"] == "fail"
+    assert bounds["lower"] < 96 * np.finfo(float).eps * bounds["upper"]
+    assert steps["dual_biorthogonality"]["status"] == "fail"
+    assert "rank-deficient" in steps["dual_biorthogonality"]["error"]
+
+
+def test_report_trials_and_levels_default_alike_in_every_step(tmp_path):
+    base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "samples": 3, "seed": 2,
+            "weight": {"kind": "moderate", "k": 1.0}}
+    explicit = {**base, "trials": 1000, "levels": [0, 1, 2, 3, 4]}
+    for name, payload in (("omitted", base), ("explicit", explicit)):
+        cfg = write_config(tmp_path, name + ".json", payload)
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / name), "--no-timestamp"]) == 0
+    for output in ("report.json", "expansion.csv"):
+        assert (tmp_path / "omitted" / output).read_bytes() == (tmp_path / "explicit" / output).read_bytes()
+    steps = json.loads((tmp_path / "omitted" / "report.json").read_text())["steps"]
+    assert set(steps["fframe"]["intervals"]) == {"0", "1", "2", "3", "4"}
+
+
 def test_report_with_timestamp_differs(tmp_path):
     cfg_payload = {
         "spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}},

@@ -590,8 +590,9 @@ def test_membership_constant_of_steep_per_cell_kind_is_not_nan(kind):
 @given(a=_windowed_matrices(), beta=_orders, margin=st.one_of(st.none(), st.integers(0, 7)))
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_fits_match_per_diagonal_reference(a, beta, margin):
-    assert fit_or_none(fit_decay, a, beta, margin) == reference_fit(a, margin, lambda d: d ** beta)
-    assert fit_or_none(fit_poly_decay, a, margin) == reference_fit(a, margin, np.log1p)
+    windowed = a if margin is None else TruncatedMatrix(a.entries, margin=margin)
+    assert fit_or_none(fit_decay, windowed, beta) == reference_fit(a, margin, lambda d: d ** beta)
+    assert fit_or_none(fit_poly_decay, windowed) == reference_fit(a, margin, np.log1p)
 
 
 @settings(max_examples=100, deadline=None)

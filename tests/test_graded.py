@@ -1,9 +1,13 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from frameforge.frames import PerturbationSpec, build_perturbed_basis, identity_frame
+from frameforge.frames import PerturbationSpec, analysis, build_perturbed_basis, canonical_dual, identity_frame
 from frameforge.graded import (
     DistributionCoefficients,
     expansion_error_curve,
@@ -15,6 +19,7 @@ from frameforge.graded import (
     standard_sample_set,
 )
 from frameforge.hermite import HermiteContext, TestFunction, project
+from frameforge.weights import _log_grading, sup_graded_norm
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +75,49 @@ def test_profile_divergence_with_truncation():
 def test_profile_overflow_guard():
     # level-10 exponential weight at n=512 would overflow term by term
     c = np.exp(-np.arange(1, 513, dtype=float))
-    out = graded_level_norm(c, "subexp", 10, beta=1.0)
-    assert math.isinf(out) or out > 1e300  # honest overflow of the true value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the true norms, e^{4608} and 2^1100, are past 1e308: inf, with no warning
+        assert graded_level_norm(c, "subexp", 10, beta=1.0) == math.inf
+        assert sup_graded_norm(c, "subexp", 10, beta=1.0) == math.inf
+        assert sup_graded_norm(np.array([0.0, 1.0]), "poly", 1100) == math.inf
     smaller = graded_level_norm(c * 1e-280, "subexp", 10, beta=1.0)
     assert math.isfinite(smaller)
+
+
+def _mp_graded_norms(c, family, k, beta):
+    """(l2, sup) graded norms of c at 50 digits, with the weight formed in mpmath."""
+    with mpmath.workdps(50):
+        n = [mpmath.mpf(i) for i in range(1, c.size + 1)]
+        weights = [i ** k if family == "poly" else mpmath.exp(k * i ** beta) for i in n]
+        terms = [abs(mpmath.mpf(float(x))) * w for x, w in zip(c, weights)]
+        return float(mpmath.sqrt(mpmath.fsum(t * t for t in terms))), float(max(terms))
+
+
+_magnitudes = st.one_of(st.just(0.0), st.floats(-200.0, 100.0).map(lambda e: 10.0 ** e))
+
+
+@settings(max_examples=300, deadline=None)
+# log|c_37| and the log weight 11.3 * 37^0.9 cancel; each is rounded on its own
+@example(c=np.r_[np.zeros(36), math.exp(-11.3 * 37 ** 0.9)], family="subexp", k=11.3, beta=0.9)
+@given(
+    c=st.lists(st.tuples(_magnitudes, st.booleans()), min_size=1, max_size=40).map(
+        lambda xs: np.array([-m if neg else m for m, neg in xs])
+    ),
+    family=st.sampled_from(["poly", "subexp"]),
+    k=st.floats(0.0, 12.0),
+    beta=st.floats(0.05, 1.0),
+)
+def test_graded_norms_match_mpmath(c, family, k, beta):
+    want_l2, want_sup = _mp_graded_norms(c, family, k, beta)
+    assume(want_l2 < 1e300)
+    n = np.arange(1, c.size + 1, dtype=float)
+    nonzero = c != 0.0
+    # log|c_n| and the log weight l_n are rounded apart, and exp carries their errors
+    logs = np.abs(np.log(np.abs(c[nonzero]))) + _log_grading(n[nonzero], family, k, beta)
+    unit = 4 * np.finfo(float).eps * (1.0 + np.max(logs, initial=0.0))
+    assert abs(graded_level_norm(c, family, k, beta) - want_l2) <= unit * want_l2
+    assert abs(sup_graded_norm(c, family, k, beta) - want_sup) <= unit * want_sup
 
 
 def test_profile_validation():
@@ -125,12 +169,13 @@ def test_fframe_bounds_monte_carlo_stability(ctx256):
 def test_fframe_bounds_match_per_sample_loop(ctx256, family, k):
     system = perturbed(256)
     samples = standard_sample_set(ctx256, 256, count=20, seed=7)
+    coeffs = analysis(system, np.asarray(samples))
     ratios = [
-        graded_level_norm(system.matrix @ f, family, k, 0.5) / graded_level_norm(f, family, k, 0.5)
-        for f in samples
+        graded_level_norm(a, family, k, 0.5) / graded_level_norm(f, family, k, 0.5)
+        for a, f in zip(coeffs, samples)
     ]
     lo, hi = fframe_bounds_estimate(system, samples, family, k, beta=0.5)
-    assert (lo, hi) == pytest.approx((min(ratios), max(ratios)), rel=1e-13, abs=0)
+    assert (lo, hi) == (min(ratios), max(ratios))
 
 
 def test_fframe_bounds_zero_norm_sample_rejected():
@@ -162,6 +207,17 @@ def test_expansion_error_gaussian_monotone(ctx256):
         errs = expansion_error_curve(f, system, "poly", k, checkpoints)
         assert np.all(np.diff(errs) <= 1e-10)
         assert errs[-1] < 1e-8
+
+
+@pytest.mark.parametrize("family, k, beta", [("poly", 0.0, 1.0), ("poly", 4.0, 1.0), ("subexp", 1.5, 0.5)])
+def test_expansion_errors_are_level_norms_of_each_residual(ctx256, family, k, beta):
+    system = perturbed(128)
+    f = project(ctx256, TestFunction.gaussian(3.0), 128)
+    checkpoints = [4, 16, 64, 100, 128]
+    dual, a = canonical_dual(system), analysis(system, f)
+    want = [graded_level_norm(f - dual.matrix[:m, :].T @ a[:m], family, k, beta) for m in checkpoints]
+    got = expansion_error_curve(f, system, family, k, checkpoints, beta=beta)
+    assert got.tobytes() == np.asarray(want).tobytes()
 
 
 def test_expansion_checkpoint_validation():
@@ -234,6 +290,12 @@ def test_distribution_growth_validated():
     b = DistributionCoefficients(b=idx ** 3, q=1.0, c=1.0)
     with pytest.raises(ValueError, match="growth"):
         b.validate_growth("poly")
+    # the bound e^{2 n} passes the double range at n = 355; it is compared in log space
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        DistributionCoefficients(b=np.ones(512), q=2.0, c=1.0).validate_growth("subexp")
+        with pytest.raises(ValueError, match="growth"):
+            DistributionCoefficients(b=np.exp(2.0 * idx) * 1.01, q=2.0, c=1.0).validate_growth("subexp")
 
 
 # ------------------------------------------------------------- P_(g_n) check
