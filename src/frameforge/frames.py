@@ -84,6 +84,20 @@ def _full_rank(eigenvalues: np.ndarray) -> bool:
     return lam_min > max(RANK_TOL ** 2, eigenvalues.size * np.finfo(float).eps * lam_max)
 
 
+def _gram_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """``a @ b`` for a Gram matrix ``name``; raises ValueError when it overflows.
+
+    The stored matrix is finite, so a non-finite Gram means that entries of
+    about 1e154 or more squared past the double range; ``eigvalsh`` would
+    then fail to converge rather than say why.
+    """
+    with np.errstate(over="ignore"):
+        gram = a @ b
+    if not np.all(np.isfinite(gram)):
+        raise ValueError(f"{name} overflows the double range: matrix entries near 1e154 or larger")
+    return gram
+
+
 def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
     """Raise LinAlgError unless ``_full_rank`` holds."""
     if not _full_rank(eigenvalues):
@@ -122,7 +136,7 @@ class FrameSystem:
         hold a second N x N matrix beside its dual; a later use forms it
         again.
         """
-        return self.matrix.conj().T @ self.matrix
+        return _gram_product(self.matrix.conj().T, self.matrix, "the Gram matrix E^H E")
 
     @cached_property
     def gram_eigenvalues(self) -> np.ndarray:
@@ -436,7 +450,7 @@ def jaffard_predict(
     if not 0.0 < gpp < gp:
         raise ValueError("gamma_dprime must lie in (0, gamma_prime)")
 
-    aas = a.entries @ a.entries.conj().T
+    aas = _gram_product(a.entries, a.entries.conj().T, "AA*")
     lam = np.linalg.eigvalsh(aas)
     _require_full_rank(lam, "matrix is singular at truncation")
     c_class = membership_constant(a, DecayEnvelope("jaffard", gamma=gamma, beta=beta))

@@ -7,8 +7,10 @@ exponential weights stay usable far past the overflow point of ``exp``.
 
 Every weighted and graded sequence norm goes through one kernel: log weights
 are added to ``log|c_n|``, the terms scaled by the largest, and the power
-sum exactly rounded.  The graded weights n^k (family ``poly``) and
-e^{k n^beta} (``subexp``) are written once, in ``_log_grading``.
+sums of a block of rows correctly rounded in one vectorized pass
+(``_exact_row_sums``; ``math.fsum`` sums only the rows it cannot certify).
+The graded weights n^k (family ``poly``) and e^{k n^beta} (``subexp``)
+are written once, in ``_log_grading``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
 
 _KINDS = ("moderate", "subexponential", "exponential")
 _FAMILIES = ("poly", "subexp")
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,9 @@ def weighted_norm(c, w: Weight, p: float) -> float:
     """The l^p_mu norm ``(sum |c_n|^p mu(n)^p)^(1/p)`` over n = 1..N.
 
     ``p = inf`` gives ``sup |c_n| mu(n)``.  Terms are formed in log space
-    and the power sum is accumulated with exactly rounded summation
-    (``math.fsum``) after scaling by the largest term, so the result
-    overflows only when the true norm does.  This is the one-row case of
-    ``weighted_row_norms``.
+    and, after scaling by the largest term, summed with correct rounding
+    (the bits of ``math.fsum``), so the result overflows only when the
+    true norm does.  This is the one-row case of ``weighted_row_norms``.
     """
     return float(weighted_row_norms(as_sequence(c)[None, :], w, p)[0])
 
@@ -176,9 +178,9 @@ def weighted_row_norms(rows, w: Weight, p: float) -> np.ndarray:
     """``weighted_norm`` of each row of a 2-D array, one value per row.
 
     A row's value does not depend on the other rows in the block: the
-    elementwise steps run on the whole block, the power sum of each row
-    is exactly rounded, and the final ``exp``/``log`` take the scalar path
-    row by row.
+    elementwise steps and the correctly rounded power sums
+    (``_exact_row_sums``) run on the whole block, and the final
+    ``exp``/``log`` take the scalar path row by row.
     """
     rows = as_sequence(rows, ndim=2)
     n = np.arange(1, rows.shape[1] + 1, dtype=float)
@@ -204,8 +206,9 @@ def _row_norms(rows: np.ndarray, log_weights: np.ndarray, p: float) -> np.ndarra
     logs = _log_abs(rows) + log_weights
     peaks = np.max(logs, axis=1)
     if p != math.inf:
-        with np.errstate(invalid="ignore"):  # all-zero rows give -inf - -inf; they are skipped
-            scaled = np.exp(p * (logs - peaks[:, None]))
+        # an all-zero row is shifted by 0, not by -inf, so its terms are 0, not NaN
+        shift = np.where(peaks == -math.inf, 0.0, peaks)
+        sums = _exact_row_sums(np.exp(p * (logs - shift[:, None])))
     with np.errstate(over="ignore"):
         for i, m in enumerate(peaks):
             if m == -math.inf:
@@ -213,8 +216,58 @@ def _row_norms(rows: np.ndarray, log_weights: np.ndarray, p: float) -> np.ndarra
             if p == math.inf:
                 out[i] = np.exp(m)
             else:
-                out[i] = np.exp(m + math.log(math.fsum(scaled[i].tolist())) / p)
+                out[i] = np.exp(m + math.log(sums[i]) / p)
     return out
+
+
+def _two_sum(a, b):
+    """``s = fl(a + b)`` and its rounding error ``e``, so that ``a + b = s + e`` exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of a 2-D block of finite, non-negative terms.
+
+    The block is folded in contiguous halves with an exact TwoSum at each
+    level (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005); an odd
+    last column is folded into column 0.  For the final column ``hi`` and
+    the error terms ``e`` of a row, ``sum(row) = hi + sum(e)`` holds
+    exactly.  The ``e`` are summed in floating point into ``err`` and their
+    magnitudes into ``mag``; over the m = width - 1 error terms of a row,
+    ``err`` is off by at most gamma_m sum|e| <= ``bound = 2 (m+1) u mag``
+    (u = 2^-53; Higham).  With ``res, tail = TwoSum(hi, err)`` the exact sum
+    lies within ``|tail| + bound`` of ``res``, so ``res`` is the correctly
+    rounded sum when that distance is below half the spacing of the doubles
+    at ``res``, or a quarter at a power of two, whose lower neighbour is
+    twice as close.  A correctly rounded sum is unique, so a certified row
+    has the bits ``math.fsum`` returns.  Every row the certificate does not
+    cover (a tie or near-tie) is summed by ``math.fsum`` itself.
+    """
+    rows, width = terms.shape
+    if width == 0:
+        return np.zeros(rows)
+    err = np.zeros(rows)
+    mag = np.zeros(rows)
+    hi = terms
+    while hi.shape[1] > 1:
+        h = hi.shape[1] // 2
+        last = hi[:, 2 * h:]
+        hi, e = _two_sum(hi[:, :h], hi[:, h:2 * h])
+        err += e.sum(axis=1)
+        mag += np.abs(e).sum(axis=1)
+        if last.shape[1]:
+            hi[:, 0], e = _two_sum(hi[:, 0], last[:, 0])
+            err += e
+            mag += np.abs(e)
+    res, tail = _two_sum(hi[:, 0], err)
+    slack = np.abs(tail) + 2.0 * width * _UNIT_ROUNDOFF * mag
+    # 2 slack < spacing and 4 slack < spacing scale exactly; a NaN compares false
+    certified = np.where(np.frexp(res)[0] == 0.5, 4.0, 2.0) * slack < np.spacing(res)
+    for i in np.flatnonzero(~certified):
+        res[i] = math.fsum(terms[i].tolist())
+    return res
 
 
 def sup_graded_norm(c, family: str, k: float, beta: float = 1.0) -> float:

@@ -201,6 +201,26 @@ def test_jaffard_identity_and_singular(tmp_path):
     assert not (tmp_path / "sing" / "jaffard.json").exists()
 
 
+def test_gram_overflow_is_named_not_singular(tmp_path, capsys):
+    # entries of 1e160 square past the double range in E^H E and AA*; eigvalsh
+    # on the overflowed Gram failed to converge and was reported as singular
+    n = 32
+    path = tmp_path / "big.csv"
+    save_matrix(path, TruncatedMatrix(1e160 * (np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1)))))
+    cfg = write_config(tmp_path, "c.json", {"matrix": str(path), "beta": 1.0, "gamma": 1.0, "seed": 1,
+                                            "trials": 10})
+    for command, gram in (("schur", "E^H E"), ("dual", "E^H E"), ("jaffard", "AA*")):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert f"{gram} overflows the double range" in err
+        assert "singular" not in err and "Warning" not in err
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "report"), "--no-timestamp"]) == 1
+    steps = json.loads((tmp_path / "report" / "report.json").read_text())["steps"]
+    for name in ("schur", "frame_bounds"):
+        assert steps[name]["status"] == "fail"
+        assert "E^H E overflows the double range" in steps[name]["error"]
+
+
 def test_jaffard_banded_matrix_clean(tmp_path):
     n = 300
     mat = np.eye(n) + 0.3 * np.eye(n, k=1) + 0.3 * np.eye(n, k=-1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frameforge import weights
 from frameforge.envelopes import DecayEnvelope, TruncatedMatrix, envelope_value, fit_decay, p_series
 from frameforge.frames import (
     FrameSystem,
@@ -634,6 +635,19 @@ def test_weighted_operator_norms_match_per_trial_loop(trials, build, w, p):
     assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+@pytest.mark.parametrize(
+    "w", [Weight("subexponential", beta=0.5, gamma=1.0), Weight("moderate", k=2.0)], ids=["subexp", "moderate"]
+)
+def test_weighted_operator_norms_same_bits_as_per_row_fsum(monkeypatch, w, p):
+    e = perturbed(256)
+    rep = weighted_operator_norms(e, w, p, trials=300, seed=4)
+    monkeypatch.setattr(
+        weights, "_exact_row_sums", lambda terms: np.array([math.fsum(row.tolist()) for row in terms])
+    )
+    assert rep == weighted_operator_norms(e, w, p, trials=300, seed=4)
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -646,13 +660,14 @@ def _traced_peak(fn) -> int:
 def test_weighted_operator_norms_memory_stays_below_four_matrices():
     # The frame operator is one N x N matrix; the trial blocks must stay
     # small beside it, where one block of all 1000 trials would not (about
-    # 9 N^2 doubles).  p = inf keeps the block arrays of p = 2 but skips
-    # fsum, whose one Python float per entry makes tracemalloc ten times slower.
+    # 9 N^2 doubles).  At p < inf the row sums add the pairwise halves of
+    # one block to the block arrays that p = inf keeps.
     n = 512
     e = perturbed(n)
     w = Weight("subexponential", beta=0.5, gamma=1.0)
-    peak = _traced_peak(lambda: weighted_operator_norms(e, w, math.inf, trials=1000, seed=1))
-    assert peak < 4 * n * n * 8
+    for p in (math.inf, 2.0):
+        peak = _traced_peak(lambda: weighted_operator_norms(e, w, p, trials=1000, seed=1))
+        assert peak < 4 * n * n * 8, p
 
 
 def test_analysis_copies_no_system_matrix():

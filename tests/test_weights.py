@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from frameforge import weights
 from frameforge.weights import (
     Weight,
     eval_weight,
@@ -238,3 +239,67 @@ def test_weighted_row_norms_validation():
         weighted_row_norms(np.ones((2, 3)), w, 0.5)
     with pytest.raises(ValueError, match="non-finite"):
         weighted_row_norms(np.array([[1.0, math.inf]]), w, 2)
+
+
+# Terms of a power sum: zeros, any magnitude from 2^-1074 to 1 (subnormals
+# included), and dyadic values whose sums land on rounding ties and on or just
+# below powers of two.
+_SUM_TERMS = st.one_of(
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.sampled_from([math.ldexp(1.0, -k) for k in (0, 1, 2, 51, 52, 53, 54, 55, 105, 106, 107)]
+                    + [1.0 - 2.0 ** -53, 0.5 - 2.0 ** -54, 0.75]),
+)
+
+
+@st.composite
+def _term_blocks(draw):
+    """Blocks of up to 4 rows and 0 to 70 non-negative terms, some rows all zero."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(0, 70)))
+    block = draw(arrays(float, shape, elements=_SUM_TERMS))
+    block[draw(st.lists(st.integers(0, shape[0] - 1), max_size=shape[0]))] = 0.0
+    return block
+
+
+@settings(max_examples=400, deadline=None)
+@given(block=_term_blocks())
+@example(block=np.array([[1.0, 2.0 ** -53]]))
+@example(block=np.array([[1.0, 2.0 ** -53, 2.0 ** -106]]))
+@example(block=np.array([[2.0 ** -53, 1.0, 2.0 ** -53, 2.0 ** -53]]))
+@example(block=np.array([[0.5, 0.5 - 2.0 ** -54, 2.0 ** -55]]))
+@example(block=np.array([[0.5, 0.5 - 2.0 ** -54, 2.0 ** -54, 2.0 ** -108]]))
+@example(block=np.array([[5e-324, 5e-324, 2.0 ** -1022]]))
+@example(block=np.zeros((2, 0)))
+def test_exact_row_sums_equal_fsum_bitwise(block):
+    expected = np.array([math.fsum(row.tolist()) for row in block])
+    assert weights._exact_row_sums(block).tobytes() == expected.tobytes()
+
+
+def _count_fsum(monkeypatch) -> list:
+    calls = []
+    fsum = math.fsum
+
+    def counting(values):
+        calls.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(weights.math, "fsum", counting)
+    return calls
+
+
+def test_exact_row_sums_fall_back_to_fsum_on_a_tie(monkeypatch):
+    # 1 + 2^-53 lies halfway between 1 and 1 + 2^-52; the certificate cannot
+    # tell on which side of the tie the sum lies, so fsum decides the row
+    block = np.array([[0.25, 0.5], [1.0, 2.0 ** -53]])
+    calls = _count_fsum(monkeypatch)
+    sums = weights._exact_row_sums(block)
+    assert calls == [2]
+    assert sums.tobytes() == np.array([0.75, math.fsum([1.0, 2.0 ** -53])]).tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_exact_row_sums_certify_gaussian_rows_without_fsum(monkeypatch, p):
+    rows = np.random.default_rng(1).standard_normal((128, 1024))
+    calls = _count_fsum(monkeypatch)
+    norms = weighted_row_norms(rows, Weight("subexponential", beta=0.5, gamma=1.0), p)
+    assert calls == []
+    assert np.all(np.isfinite(norms)) and np.all(norms > 0)
