@@ -50,27 +50,37 @@ def hermite_function_table(kmax: int, x) -> np.ndarray:
 
     Returns an array of shape ``(len(x), kmax + 1)``.
     """
+    return _hermite_columns(range(kmax + 1), x)
+
+
+def _hermite_columns(degrees, x) -> np.ndarray:
+    """Orthonormal Hermite functions of the ascending classical ``degrees`` at x.
+
+    Runs the recurrence up to the last degree but stores only the requested
+    columns, so the result has shape ``(len(x), len(degrees))`` whatever the
+    degrees skipped in between.  ``exp(logscale)`` is recomputed only when a
+    renormalization changes the scale.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size, kmax + 1))
+    out = np.empty((x.size, len(degrees)))
     logscale = -0.5 * x * x
-    p_prev = np.full_like(x, math.pi ** -0.25)
-    out[:, 0] = p_prev * np.exp(logscale)
-    if kmax == 0:
-        return out
-    p_cur = math.sqrt(2.0) * x * p_prev
-    out[:, 1] = p_cur * np.exp(logscale)
-    for k in range(1, kmax):
-        p_next = x * math.sqrt(2.0 / (k + 1)) * p_cur - math.sqrt(k / (k + 1)) * p_prev
-        p_prev, p_cur = p_cur, p_next
-        big = np.abs(p_cur) > _RENORM_THRESHOLD
-        if np.any(big):
-            p_prev = p_prev.copy()
-            p_cur = p_cur.copy()
-            p_prev[big] /= _RENORM_THRESHOLD
-            p_cur[big] /= _RENORM_THRESHOLD
-            logscale = logscale.copy()
-            logscale[big] += _RENORM_LOG
-        out[:, k + 1] = p_cur * np.exp(logscale)
+    scale = np.exp(logscale)
+    p_prev, p_cur = None, np.full_like(x, math.pi ** -0.25)
+    j = 0
+    for k in range(degrees[-1] + 1):
+        if k == 1:
+            p_prev, p_cur = p_cur, math.sqrt(2.0) * x * p_cur
+        elif k > 1:
+            p_prev, p_cur = p_cur, x * math.sqrt(2.0 / k) * p_cur - math.sqrt((k - 1) / k) * p_prev
+            big = np.abs(p_cur) > _RENORM_THRESHOLD
+            if np.any(big):
+                p_prev[big] /= _RENORM_THRESHOLD
+                p_cur[big] /= _RENORM_THRESHOLD
+                logscale[big] += _RENORM_LOG
+                scale = np.exp(logscale)
+        if k == degrees[j]:
+            out[:, j] = p_cur * scale
+            j += 1
     return out
 
 
@@ -89,11 +99,12 @@ class HermiteContext:
         if q < 2 * nmax:
             raise ValueError("quadrature order must be at least 2*nmax")
         nodes = roots_hermite(q)[0]
-        table = hermite_function_table(q - 1, nodes)
+        # Only degrees 0..nmax-1 (the basis) and q-1 (the weights) are kept.
+        table = _hermite_columns([*range(nmax), q - 1], nodes)
         self.nmax = int(nmax)
         self.quad_order = q
         self.nodes = nodes
-        self.weights = 1.0 / (q * table[:, q - 1] ** 2)
+        self.weights = 1.0 / (q * table[:, nmax] ** 2)
         self.basis = table[:, :nmax]  # column j holds h_{j+1} at the nodes
 
     def integrate(self, values_at_nodes) -> float:
@@ -105,7 +116,7 @@ def hermite_eval(ctx: HermiteContext, n: int, x):
     if not 1 <= n <= ctx.nmax:
         raise ValueError(f"index n must lie in 1..{ctx.nmax}")
     scalar = np.isscalar(x)
-    vals = hermite_function_table(n - 1, x)[:, n - 1]
+    vals = _hermite_columns([n - 1], x)[:, 0]
     return float(vals[0]) if scalar else vals
 
 

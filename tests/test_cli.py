@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameforge import cli
+from frameforge import cli, frames
 from frameforge.cli import main
 from frameforge.envelopes import TruncatedMatrix
 from frameforge.matio import load_frame_system, save_matrix, sidecar_path
@@ -398,14 +398,19 @@ def test_report_incompatible_weight_rejected_not_fatal(tmp_path):
     assert steps["frame_bounds"]["status"] == "pass"
 
 
-def test_report_frame_bounds_fail_with_the_dual_when_the_lower_bound_is_noise(tmp_path):
-    # sigma runs from 2 to 1e-8: lambda_min = 1e-16 lies below N eps lambda_max = 8.5e-14
+def _sandwich_report_config(tmp_path, sigma_min):
+    """Report config on Q1 diag(geomspace(2, sigma_min, 96)) Q2^T, stored as FFMX."""
     rng = np.random.default_rng(5)
     q1, _ = np.linalg.qr(rng.standard_normal((96, 96)))
     q2, _ = np.linalg.qr(rng.standard_normal((96, 96)))
     path = tmp_path / "near_singular.ffmx"
-    save_matrix(path, TruncatedMatrix(q1 @ np.diag(np.geomspace(2.0, 1e-8, 96)) @ q2.T), binary=True)
-    cfg = write_config(tmp_path, "r.json", {"matrix": str(path), "levels": [0], "samples": 3, "seed": 7})
+    save_matrix(path, TruncatedMatrix(q1 @ np.diag(np.geomspace(2.0, sigma_min, 96)) @ q2.T), binary=True)
+    return write_config(tmp_path, "r.json", {"matrix": str(path), "levels": [0], "samples": 3, "seed": 7})
+
+
+def test_report_frame_bounds_fail_with_the_dual_when_the_lower_bound_is_noise(tmp_path):
+    # sigma runs from 2 to 1e-8: lambda_min = 1e-16 lies below N eps lambda_max = 8.5e-14
+    cfg = _sandwich_report_config(tmp_path, 1e-8)
     assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 1
     steps = json.loads((tmp_path / "report.json").read_text())["steps"]
     bounds = steps["frame_bounds"]
@@ -413,6 +418,37 @@ def test_report_frame_bounds_fail_with_the_dual_when_the_lower_bound_is_noise(tm
     assert bounds["lower"] < 96 * np.finfo(float).eps * bounds["upper"]
     assert steps["dual_biorthogonality"]["status"] == "fail"
     assert "rank-deficient" in steps["dual_biorthogonality"]["error"]
+
+
+def test_report_dual_of_an_ill_conditioned_system_is_biorthogonal(tmp_path):
+    # sigma runs from 2 to 1e-5 (cond 2e5): the rank rule accepts the system,
+    # and a dual solved from E meets the 1e-8 gate where the normal equations
+    # in E^H E, with their squared condition number, miss it (4.9e-8).
+    cfg = _sandwich_report_config(tmp_path, 1e-5)
+    main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"])
+    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+    assert steps["frame_bounds"]["status"] == "pass"
+    assert steps["dual_biorthogonality"]["status"] == "pass"
+
+
+def test_report_forms_the_gram_once(tmp_path, monkeypatch):
+    # E^H E is formed for its eigenvalues only; the dual is solved from E and
+    # the weighted frame operator runs as synthesis of the analysis.
+    calls = []
+    gram_product = frames._gram_product
+
+    def counting(*args):
+        calls.append(args[-1])
+        return gram_product(*args)
+
+    monkeypatch.setattr(frames, "_gram_product", counting)
+    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 32, "levels": [0, 1], "trials": 20, "samples": 3,
+                                            "seed": 2, "weight": {"kind": "moderate", "k": 1.0}})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
+    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+    assert all(step["status"] == "pass" for step in steps.values())
+    assert calls == ["the Gram matrix E^H E"]
+    assert not hasattr(frames.FrameSystem, "gram")
 
 
 def test_report_trials_and_levels_default_alike_in_every_step(tmp_path):

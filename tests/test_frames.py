@@ -1,13 +1,15 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frameforge import weights
+from frameforge import frames, weights
 from frameforge.envelopes import DecayEnvelope, TruncatedMatrix, envelope_value, fit_decay, p_series
 from frameforge.frames import (
     FrameSystem,
@@ -554,6 +556,101 @@ def test_rank_deficient_product_rejected_by_dual_and_jaffard(m):
         jaffard_predict(TruncatedMatrix(m), beta=1.0, gamma=1.0)
 
 
+# The dual is E^{-H}, an inverse through LU with partial pivoting, whose
+# normwise relative error is of order cond(E) eps with a modest factor in N.
+# The factor is c N with the constant c = 1, which is not to be raised to fit
+# an error; normal equations in E^H E miss it on the sandwiches below by
+# their squared condition number.
+_DUAL_C = 1.0
+
+
+def _dual_error_bound(e: np.ndarray, kappa: float) -> float:
+    return _DUAL_C * e.shape[0] * kappa * np.finfo(float).eps
+
+
+def shift_inverse(t, n):
+    """(I + tS)^{-1}, whose k-th superdiagonal is (-t)^k, from 40-digit powers."""
+    with mp.workdps(40):
+        powers = [float((-mp.mpf(t)) ** k) for k in range(n)]
+    return sum(np.diag(np.full(n - k, power), k) for k, power in enumerate(powers))
+
+
+def refined_inverse(e):
+    """E^{-1} as x0 + c: x0 = pinv(E) from the SVD, c = x0 (I - E x0) one Newton step.
+
+    The residual I - E x0 is summed to 40 digits by ``mp.fdot``, so the sum
+    x0 + c errs by about ||x0|| ||I - E x0||^2, of order cond(E)^2 eps^2
+    relative, far below the bound tested.
+    """
+    n = e.shape[0]
+    x0 = np.linalg.pinv(e)
+    with mp.workdps(40):
+        rows = [[mp.mpf(v) for v in row] for row in e]
+        cols = [[mp.mpf(v) for v in col] for col in x0.T]
+        resid = [[float((i == j) - mp.fdot(rows[i], cols[j])) for j in range(n)] for i in range(n)]
+    return x0, x0 @ np.array(resid)
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.floats(min_value=0.9, max_value=0.999), n=st.integers(2, 128))
+def test_canonical_dual_of_near_singular_shift_matches_mpmath_inverse(t, n):
+    e = np.eye(n) + t * np.eye(n, k=1)
+    dual = canonical_dual(FrameSystem(e)).matrix
+    exact = shift_inverse(t, n)
+    err = np.linalg.norm(dual.T - exact, 2) / np.linalg.norm(exact, 2)
+    assert err <= _dual_error_bound(e, np.linalg.cond(e))
+
+
+@settings(max_examples=3, deadline=None)
+@given(log_sigma_min=st.floats(min_value=-6.0, max_value=-2.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(log_sigma_min=-5.0, seed=5)
+def test_canonical_dual_of_ill_conditioned_sandwich_matches_mpmath_inverse(log_sigma_min, seed):
+    # Q1 diag(geomspace(2, sigma_min, 96)) Q2^T with cond(E) = 2 / sigma_min
+    # up to 2e6, which the rank rule still accepts at N = 96
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((96, 96)))
+    q2, _ = np.linalg.qr(rng.standard_normal((96, 96)))
+    sigma_min = 10.0 ** log_sigma_min
+    e = q1 @ np.diag(np.geomspace(2.0, sigma_min, 96)) @ q2.T
+    dual = canonical_dual(FrameSystem(e)).matrix
+    x0, correction = refined_inverse(e)
+    err = np.linalg.norm((dual.T - x0) - correction, 2) / np.linalg.norm(x0, 2)
+    assert err <= _dual_error_bound(e, 2.0 / sigma_min)
+
+
+def _imports_scipy_linalg(tree: ast.AST) -> bool:
+    """Whether a module imports scipy.linalg (or a submodule) or reads ``scipy.linalg``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{node.value.id}.{node.attr}"]
+        else:
+            continue
+        if any(name == "scipy.linalg" or name.startswith("scipy.linalg.") for name in names):
+            return True
+    return False
+
+
+def test_no_module_uses_scipy_linalg():
+    # scipy.linalg calls into scipy's own copy of OpenBLAS, beside the one
+    # bundled with numpy, and its idle threads then slow numpy's BLAS: on
+    # 2 cores (OpenBLAS 0.3.31, 2 BLAS threads), eight (128 x 1024) by
+    # (1024 x 1024) numpy GEMMs took 0.122 s right after a scipy
+    # cho_factor/cho_solve at N=1024, against 0.028 s alone and 0.035 s
+    # after numpy's own solve.  Every factorization goes through
+    # numpy.linalg; scipy.special stays allowed.
+    package = Path(frames.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py")) if _imports_scipy_linalg(ast.parse(p.read_text()))]
+    assert offenders == []
+    for source in ("import scipy.linalg", "from scipy import linalg", "from scipy.linalg import solve",
+                   "import scipy\nscipy.linalg.solve"):
+        assert _imports_scipy_linalg(ast.parse(source)), source
+    assert not _imports_scipy_linalg(ast.parse("from scipy.special import roots_hermite"))
+
+
 # ------------------------------------------------- permutation-invariance
 
 
@@ -658,10 +755,11 @@ def _traced_peak(fn) -> int:
 
 
 def test_weighted_operator_norms_memory_stays_below_four_matrices():
-    # The frame operator is one N x N matrix; the trial blocks must stay
-    # small beside it, where one block of all 1000 trials would not (about
-    # 9 N^2 doubles).  At p < inf the row sums add the pairwise halves of
-    # one block to the block arrays that p = inf keeps.
+    # No N x N matrix is formed (the frame operator runs as synthesis of the
+    # analysis), and the trial blocks must stay small, where one block of all
+    # 1000 trials would not (about 9 N^2 doubles).  At p < inf the row sums
+    # add the pairwise halves of one block to the block arrays that p = inf
+    # keeps.
     n = 512
     e = perturbed(n)
     w = Weight("subexponential", beta=0.5, gamma=1.0)

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from frameforge.hermite import (
@@ -86,6 +88,46 @@ def test_recurrence_against_high_precision_oracle():
             h_prev, h_cur = h_cur, h_next
             ref = float(h_cur * scale)
             assert abs(table[xi, k + 1] - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def reference_table(kmax, x):
+    """The recurrence with every column stored and exp(logscale) taken at every degree."""
+    out = np.empty((x.size, kmax + 1))
+    logscale = -0.5 * x * x
+    p_prev = np.full_like(x, math.pi ** -0.25)
+    out[:, 0] = p_prev * np.exp(logscale)
+    p_cur = math.sqrt(2.0) * x * p_prev
+    out[:, 1] = p_cur * np.exp(logscale)
+    for k in range(1, kmax):
+        p_next = x * math.sqrt(2.0 / (k + 1)) * p_cur - math.sqrt(k / (k + 1)) * p_prev
+        p_prev, p_cur = p_cur, p_next
+        big = np.abs(p_cur) > 1e250
+        if np.any(big):
+            p_prev, p_cur, logscale = p_prev.copy(), p_cur.copy(), logscale.copy()
+            p_prev[big] /= 1e250
+            p_cur[big] /= 1e250
+            logscale[big] += 250.0 * math.log(10.0)
+        out[:, k + 1] = p_cur * np.exp(logscale)
+    return out
+
+
+def same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=10, deadline=None)
+@given(nmax=st.integers(1, 700), pick=st.floats(0.0, 1.0))
+@example(nmax=1024, pick=1.0)  # degree 2055, past hundreds of 1e250 renormalizations
+def test_context_keeps_the_bits_of_the_full_table(nmax, pick):
+    # the context stores only degrees 0..nmax-1 and q-1 of the q x q table
+    ctx = HermiteContext(nmax=nmax)
+    q = ctx.quad_order
+    table = hermite_function_table(q - 1, ctx.nodes)
+    same_bits(table, reference_table(q - 1, ctx.nodes))
+    same_bits(ctx.basis, table[:, :nmax])
+    same_bits(ctx.weights, 1.0 / (q * table[:, q - 1] ** 2))
+    n = 1 + round(pick * (nmax - 1))
+    same_bits(hermite_eval(ctx, n, ctx.nodes), table[:, n - 1])
 
 
 def test_evaluation_survives_extreme_arguments():
