@@ -13,7 +13,6 @@ from .envelopes import (
     DecayEnvelope,
     DecayFit,
     TruncatedMatrix,
-    apply_matrix,
     check_implication_chain,
     convolution_constant,
     envelope_value,
@@ -38,7 +37,6 @@ from .frames import (
     cross_gram,
     dual_localization_check,
     frame_bounds,
-    frame_operator,
     identity_frame,
     jaffard_predict,
     spectral_norm,

@@ -139,7 +139,7 @@ FIELDS = {
 }
 
 # The default of each key that several steps read, the same for all of them.
-DEFAULTS = {"trials": 1000, "levels": (0, 1, 2, 3, 4)}
+DEFAULTS = {"levels": (0, 1, 2, 3, 4)}
 
 
 class Invocation:
@@ -258,7 +258,7 @@ def step_dual_biorthogonality(inv: Invocation) -> dict:
 def step_example_inequalities(inv: Invocation) -> dict:
     if "matrix" in inv.cfg:
         return {"status": "skipped", "reason": "system not built from a perturbation spec"}
-    trials = inv.get("trials")
+    trials = inv.get("trials", 1000)
     rep = frames.verify_example_inequalities(inv.perturbed[0], inv.system.n, trials, seed=inv.step_seed("example"))
     return _result(rep.all_hold, contraction_max=rep.contraction_max, upper_max=rep.upper_max,
                    lower_min=rep.lower_min)
@@ -305,17 +305,17 @@ def step_fframe(inv: Invocation) -> dict:
 
 
 def step_weighted_norms(inv: Invocation) -> dict:
+    """Brackets of the weighted operator norms; bounded needs finite upper ends, invertible a positive lower one."""
     if "weight" not in inv.cfg:
         return {"status": "skipped", "reason": "no weight configured"}
     try:
         w = Weight(**inv.cfg["weight"])
     except (TypeError, ValueError) as err:
         raise ValueError(f"invalid weight: {err}") from err
-    p, trials = inv.get("p", 2.0), inv.get("trials")
-    rep = frames.weighted_operator_norms(inv.system, w, p, trials=trials, seed=inv.step_seed("weighted"))
-    ok = rep.frame_op_min > 0 and math.isfinite(rep.analysis_max)
-    return _result(ok, analysis_max=rep.analysis_max, synthesis_max=rep.synthesis_max,
-                   frame_op_max=rep.frame_op_max, frame_op_min=rep.frame_op_min)
+    rep = frames.weighted_operator_norms(inv.system, w, inv.get("p", 2.0))
+    brackets = {name: {"lower": lo, "upper": hi} for name, (lo, hi) in vars(rep).items()}
+    ok = rep.frame_op_min[0] > 0 and all(math.isfinite(hi) for _, hi in (rep.analysis, rep.synthesis, rep.frame_op))
+    return _result(ok, **brackets)
 
 
 # The Schur step runs at its default p = 2 here: in a report config

@@ -32,13 +32,15 @@ from .envelopes import (
     DecayFit,
     InsufficientDecayData,
     TruncatedMatrix,
+    _scaled_abs_sums,
+    _schur,
     envelope_value,
     fit_decay,
     fit_poly_decay,
     membership_constant,
     p_series,
 )
-from .weights import Weight, _to_json_list, as_sequence, weighted_row_norms
+from .weights import Weight, _row_norms, _to_json_list, as_sequence, log_eval_weight
 
 __all__ = [
     "DualLocalizationReport",
@@ -55,7 +57,6 @@ __all__ = [
     "cross_gram",
     "dual_localization_check",
     "frame_bounds",
-    "frame_operator",
     "identity_frame",
     "jaffard_predict",
     "spectral_norm",
@@ -67,11 +68,9 @@ __all__ = [
 
 RANK_TOL = 1e-10
 
-# Monte Carlo trials are drawn and pushed through the operators in blocks of
-# at most this many rows: one GEMM per block, while the block arrays stay
-# small beside the N x N system matrix (at N=512 and 1000 trials the traced
-# peak is 1.3 N^2 doubles at p = inf and 1.8 N^2 at p = 2, against 9 N^2 for
-# one block of all trials).
+# Trial vectors and unit vectors go through the operators in blocks of at most
+# this many rows: one GEMM per block, with block arrays small beside N x N (at
+# N = 512 ``weighted_operator_norms`` peaks at 2.1 N^2 doubles, dual solve included).
 _TRIAL_BLOCK = 128
 
 
@@ -196,12 +195,6 @@ def synthesis(e: FrameSystem, c) -> np.ndarray:
     return c @ e.matrix
 
 
-def _trial_blocks(trials: int):
-    """Row counts of the blocks that make up ``trials`` trials, in draw order."""
-    for start in range(0, trials, _TRIAL_BLOCK):
-        yield min(_TRIAL_BLOCK, trials - start)
-
-
 def frame_bounds(e: FrameSystem) -> tuple[float, float]:
     """Truncated frame bounds: the extreme eigenvalues of the Gram matrix E^H E.
 
@@ -211,11 +204,6 @@ def frame_bounds(e: FrameSystem) -> tuple[float, float]:
     """
     lam = e.gram_eigenvalues
     return max(float(lam[0]), 0.0), float(lam[-1])
-
-
-def frame_operator(e: FrameSystem) -> TruncatedMatrix:
-    """Matrix of S f = sum_n <f, e_n> e_n on Hermite coordinates."""
-    return TruncatedMatrix(e.matrix.T @ e.matrix.conj(), margin=e.coeffs.margin)
 
 
 def canonical_dual(e: FrameSystem) -> FrameSystem:
@@ -366,8 +354,8 @@ def verify_example_inequalities(
     contraction = 0.0
     upper = 0.0
     lower = math.inf
-    for rows in _trial_blocks(trials):
-        f = rng.standard_normal((rows, n))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        f = rng.standard_normal((min(_TRIAL_BLOCK, trials - start), n))
         f /= np.linalg.norm(f, axis=1)[:, None]
         uf = synthesis(system, f)
         norm_uf = np.linalg.norm(uf, axis=1)
@@ -527,61 +515,52 @@ def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDe
 
 @dataclass(frozen=True)
 class OperatorNormReport:
-    analysis_max: float
-    synthesis_max: float
-    frame_op_max: float
-    frame_op_min: float
-    trials: int
+    """(lower, upper) brackets of the norms of conj(E), E^T and S = E^T conj(E), and of inf ||S f|| / ||f||."""
+
+    analysis: tuple[float, float]
+    synthesis: tuple[float, float]
+    frame_op: tuple[float, float]
+    frame_op_min: tuple[float, float]
 
 
-def weighted_operator_norms(
-    e: FrameSystem,
-    w: Weight,
-    p: float,
-    trials: int = 200,
-    seed: int = 0,
-    loc_beta: float = 1.0,
-) -> OperatorNormReport:
-    """Empirical weighted-norm ratios of analysis, synthesis and frame operator.
+def _schur_bounds(mat: np.ndarray, log_w: np.ndarray, p: float) -> tuple[float, float, float]:
+    """Schur bounds of B = D |conj(E)| D^-1, G^T = D |E^T| D^-1 and of G^T B >= |D S D^-1|, D = diag(e^log_w).
 
-    Norms are taken on coefficient sequences (the Hermite-coordinate
-    proxy for the weighted function spaces).  The system must be
-    localized at order ``loc_beta``; sub-exponential weights must have
-    strictly smaller order than the localization, which is the hypothesis
-    under which these operators act boundedly.  The minimum frame-operator
-    ratio doubles as an invertibility proxy.
+    The product is never formed: its row sums are G^T (B 1), its column sums (G 1)^T B.
+    """
+    b_rows, b_cols = _scaled_abs_sums(mat, log_w, log_w)
+    g_rows, g_cols = _scaled_abs_sums(mat, -log_w, -log_w)
+    s_rows = _scaled_abs_sums(mat, -log_w, -log_w, b_rows)[1]
+    s_cols = _scaled_abs_sums(mat, log_w, log_w, g_rows)[1]
+    return _schur(b_rows, b_cols, p), _schur(g_cols, g_rows, p), _schur(s_rows, s_cols, p)
 
-    The trials run in seeded blocks of rows, one product per operator per
-    block; the blocks draw from the generator in the same order as one
-    vector per trial would, so the trial vectors do not depend on the
-    block size.  A trial vector of weighted norm 0 is skipped.
+
+def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float = 1.0) -> OperatorNormReport:
+    """Brackets of the weighted l^p norms of analysis, synthesis and frame operator S.
+
+    Norms are taken on coefficient sequences (the Hermite-coordinate proxy
+    for the weighted function spaces), so an operator M has the norm of
+    D M D^-1, D = diag(w(n)).  The system must be localized at order
+    ``loc_beta``, and a sub-exponential weight must have a smaller order:
+    the hypothesis under which these operators act boundedly.  Each norm
+    runs from the best ratio ||M e_j|| / ||e_j|| over the unit vectors up
+    to the Schur bound of D |M| D^-1, exact at p = 1 and p = inf.  The
+    infimum of S is 1 / ||S^-1||, and S^-1 = conj(E^-1) E^-T is the frame
+    operator of the canonical dual: it runs from 1 / (the dual's Schur
+    bound) up to the least unit-vector ratio of S.
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:
         raise IncompatibleWeight("incompatible weight: weight order must be below the localization order")
     if not _fit_or_sentinel(e.coeffs, loc_beta).gamma > 0:
         raise ValueError("system is not localized; weighted bounds do not apply")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    u_max = t_max = s_max = 0.0
-    s_min = math.inf
-    for rows in _trial_blocks(trials):
-        f = rng.standard_normal((rows, e.n))
-        den = weighted_row_norms(f, w, p)
-        keep = den != 0.0
-        f, den = f[keep], den[keep]
-        if not den.size:
-            continue
-        u = analysis(e, f)
-        u_max = max(u_max, float(np.max(weighted_row_norms(u, w, p) / den)))
-        t_max = max(t_max, float(np.max(weighted_row_norms(synthesis(e, f), w, p) / den)))
-        s_ratio = weighted_row_norms(synthesis(e, u), w, p) / den  # S f is the synthesis of the analysis
-        s_max = max(s_max, float(np.max(s_ratio)))
-        s_min = min(s_min, float(np.min(s_ratio)))
-    return OperatorNormReport(
-        analysis_max=u_max,
-        synthesis_max=t_max,
-        frame_op_max=s_max,
-        frame_op_min=s_min,
-        trials=trials,
-    )
+    log_w = log_eval_weight(w, np.arange(1, e.n + 1, dtype=float))
+    ratios = np.empty((3, e.n))
+    for start in range(0, e.n, _TRIAL_BLOCK):
+        j = slice(start, start + _TRIAL_BLOCK)
+        scale = log_w - log_w[j, None]  # ||M e_j|| / ||e_j|| is the norm of M e_j at these log weights
+        u = e.matrix.T[j].conj()  # the analysis of e_j is conj(column j of E), its synthesis row j of E
+        ratios[:, j] = [_row_norms(m, scale, p) for m in (u, e.matrix[j], synthesis(e, u))]
+    # where rounding inverts a bracket that closes (p = 1), the proven end yields to the attained one
+    norms = [(float(lo), max(hi, float(lo))) for lo, hi in zip(ratios.max(axis=1), _schur_bounds(e.matrix, log_w, p))]
+    s_lo, s_hi = 1.0 / _schur_bounds(canonical_dual(e).matrix, log_w, p)[2], float(ratios[2].min())
+    return OperatorNormReport(*norms, frame_op_min=(min(s_lo, s_hi), s_hi))

@@ -196,7 +196,9 @@ def _graded_row_norms(rows: np.ndarray, family: str, k: float, beta: float, p: f
 def _row_norms(rows: np.ndarray, log_weights: np.ndarray, p: float) -> np.ndarray:
     """``(sum_n |c_n|^p e^{p l_n})^(1/p)`` of each row c, for log weights l; p = inf gives the sup.
 
-    Overflow is ignored: a true norm past the double range is inf.
+    ``log_weights`` is one vector for every row, or a 2-D array with one row
+    of log weights per row.  Overflow is ignored: a true norm past the
+    double range is inf.
     """
     if not (p == math.inf or p >= 1):
         raise ValueError("p must be in [1, inf]")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from frameforge import cli, frames
 from frameforge.cli import main
-from frameforge.envelopes import TruncatedMatrix
+from frameforge.envelopes import TruncatedMatrix, p_series
 from frameforge.matio import load_frame_system, save_matrix, sidecar_path
 from test_matio import reference_format_csv
 
@@ -237,6 +238,19 @@ def test_jaffard_banded_matrix_clean(tmp_path):
     assert data["gamma_fit_inverse"] >= data["report"]["gamma1_pred"]
 
 
+def test_jaffard_at_a_slow_rate_reports_instead_of_raising(tmp_path, capsys):
+    # beta = 0.25 makes the series P in the split slow (gamma' - gamma'' = 0.125);
+    # it used to run into the term cap and escape main as a RuntimeError
+    mat = np.eye(64) + 0.3 * np.eye(64, k=1) + 0.3 * np.eye(64, k=-1)
+    path = tmp_path / "band.csv"
+    save_matrix(path, TruncatedMatrix(mat))
+    cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 0.25, "gamma": 0.5})
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rep = json.loads((tmp_path / "jaffard.json").read_text())["report"]
+    assert rep["p_split"] == pytest.approx(p_series(0.125, 0.25), rel=1e-15)
+
+
 def test_jaffard_narrow_window_reports_sentinel_rate(tmp_path):
     # margin 7 at N = 16 leaves a 2 x 2 window: too few distances to fit the inverse's rate
     mat = np.eye(16) + 0.3 * np.eye(16, k=1) + 0.3 * np.eye(16, k=-1)
@@ -396,6 +410,18 @@ def test_report_incompatible_weight_rejected_not_fatal(tmp_path):
     assert steps["weighted_norms"]["status"] == "rejected"
     assert "incompatible weight" in steps["weighted_norms"]["error"]
     assert steps["frame_bounds"]["status"] == "pass"
+
+
+def test_report_weighted_norms_are_brackets(tmp_path):
+    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 64, "levels": [0], "samples": 3, "seed": 3,
+                                            "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
+    step = json.loads((tmp_path / "report.json").read_text())["steps"]["weighted_norms"]
+    assert step.pop("status") == "pass"
+    assert set(step) == {"analysis", "synthesis", "frame_op", "frame_op_min"}
+    for bracket in step.values():
+        assert set(bracket) == {"lower", "upper"}
+        assert 0 < bracket["lower"] <= bracket["upper"] < math.inf
 
 
 def _sandwich_report_config(tmp_path, sigma_min):
