@@ -12,8 +12,10 @@ frame-theoretic operation becomes dense linear algebra:
 
 E is square, so the dual is solved from E itself, as ``inv(E)^H``, with an
 error of order cond(E) eps; the normal equations in E^H E would square the
-condition number.  The Gram matrix E^H E is formed only for its
-eigenvalues (the frame bounds and the rank rule) and is not kept.
+condition number.  The Gram matrix E^H E is formed for its eigenvalues
+(the frame bounds, and the rank rule wherever they are computed anyway)
+or, when no eigenvalue is asked for, for one shifted Cholesky that proves
+full rank; it is not kept.
 
 The reference basis is the Hermite basis throughout; a general Riesz
 reference is obtained by composing coefficient matrices.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -68,9 +71,10 @@ __all__ = [
 
 RANK_TOL = 1e-10
 
-# Trial vectors and unit vectors go through the operators in blocks of at most
-# this many rows: one GEMM per block, with block arrays small beside N x N (at
-# N = 512 ``weighted_operator_norms`` peaks at 2.1 N^2 doubles, dual solve included).
+# Trial vectors and unit vectors go through the operators, and the sentinel of
+# ``_fit_or_sentinel`` takes its maximum, in blocks of at most this many rows:
+# block arrays stay small beside N x N (at N = 512 ``weighted_operator_norms``
+# peaks at 2.1 N^2 doubles, dual solve included).
 _TRIAL_BLOCK = 128
 
 
@@ -109,15 +113,104 @@ def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
         raise np.linalg.LinAlgError(message)
 
 
+_U = Fraction(1, 2 ** 53)  # unit roundoff of IEEE double precision
+
+
+def _gamma_tilde(k: int) -> Fraction:
+    """Higham's complex-safe constant, exactly: gamma_{3k}, with gamma_j = j u / (1 - j u)."""
+    return 3 * k * _U / (1 - 3 * k * _U)
+
+
+def _certify_full_rank(e: np.ndarray) -> bool:
+    """Whether one shifted Cholesky of fl(E^H E) proves that E^H E has full rank.
+
+    True proves lambda_min(E^H E) > tau = max(RANK_TOL^2, N eps lambda_bar)
+    for a proven lambda_bar >= lambda_max(E^H E), so the exact eigenvalues
+    pass the rule of ``_full_rank``, with a margin.  False proves nothing;
+    the caller then decides on the eigenvalues.
+
+    Notation: u = 2^-53 = eps/2, gamma_j = j u / (1 - j u), and the
+    complex-safe gamma~_k = gamma_{3k} (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sec. 3.6).  With conventional complex
+    arithmetic, the real and the imaginary part of a computed complex inner
+    product of length k are real inner products of length 2k, each in
+    error by at most gamma_{2k} sum |x_i| |y_i| in any order of summation,
+    so the modulus of the error is at most sqrt(2) gamma_{2k} <= gamma~_k
+    times that sum.  Real E takes the same constants.  G = E^H E is exact,
+    G^ = fl(E^H E) is the stored matrix, and sigma >= 0 is a double.
+
+    1. Formation.  |G^ - G| <= gamma~_N |E|^T |E| entrywise.  LAPACK reads
+       one triangle of G^ and the real part of its diagonal; the Hermitian
+       matrix G~ they define obeys the same entrywise bound, so
+       ||G~ - G||_2 <= ||G~ - G||_F <= gamma~_N || |E|^T |E| ||_F
+       <= gamma~_N ||E||_F^2, and by Weyl's inequality
+       lambda_min(G) >= lambda_min(G~) - gamma~_N ||E||_F^2.
+    2. Shift.  The diagonal is overwritten with fl(g~_ii - sigma), within
+       u |g~_ii - sigma| <= u (max |g~_ii| + sigma) of g~_ii - sigma, so the
+       matrix H that is factored has
+       lambda_min(G~ - sigma I) >= lambda_min(H) - u (max |g~_ii| + sigma).
+    3. Cholesky.  If it completes with factor R, then R^H R = H + dH with
+       |dH| <= gamma~_{N+1} |R^H| |R| (Higham, Thm 10.3; each entry is an
+       inner product of at most N + 1 terms, in any order, so the bound
+       holds for blocked LAPACK too, and in complex arithmetic by the
+       argument above).  R^H R is positive semidefinite, so
+       lambda_min(H) >= -||dH||_2 >= -gamma~_{N+1} ||R||_F^2
+       (Rump, "Verification of positive definiteness", BIT 46, 2006).
+       Together:
+       lambda_min(G) >= sigma - gamma~_{N+1} ||R||_F^2
+                        - u (max |g~_ii| + sigma) - gamma~_N ||E||_F^2.
+    4. Upper bound.  lambda_max(G) = ||G||_2 <= ||G^||_2 + gamma~_N ||E||_F^2,
+       and ||G^||_2 <= (||G^||_1 ||G^||_inf)^(1/2), the Schur bound, which
+       is ||G^||_inf when G^ is Hermitian.  That sum is lambda_bar.
+    5. Rounding of the bounds.  The computed ||E||_F^2 and ||R||_F^2 are
+       sums of at most 2 N^2 rounded squares, within gamma_{2N^2} of the
+       exact sums; the computed Schur bound (moduli within an ulp, sums of
+       N terms, two square roots and a product) is within gamma_{N+6}.
+       Both are below gamma~_{N^2+2} = gamma_{3N^2+6}, so each computed
+       value divided by 1 - gamma~_{N^2+2} bounds the exact one from above.
+       Everything after is exact rational arithmetic.
+
+    sigma = 2 (tau + (gamma~_{N+1} + gamma~_N) ||E||_F^2 + u max |g~_ii|).
+    As ||R||_F^2 = trace(H + dH) is at most about ||E||_F^2, a Cholesky that
+    completes leaves the bound of step 3 near sigma / 2 + tau; it completes
+    when lambda_min(G) exceeds sigma by a little.  G^ is formed through
+    ``_gram_product``, so an overflow raises the same ValueError as the
+    eigenvalues do.
+    """
+    n = e.shape[0]
+    g = _gram_product(e.conj().T, e, "the Gram matrix E^H E")
+    zero = np.zeros(n)
+    fro_e, schur_g = float(np.vdot(e, e).real), _schur(*_scaled_abs_sums(g, zero, zero), 2.0)
+    if not (math.isfinite(fro_e) and math.isfinite(schur_g)):  # sums past the double range prove nothing
+        return False
+    rounding = 1 / (1 - _gamma_tilde(n * n + 2))
+    fro_e, schur_g = Fraction(fro_e) * rounding, Fraction(schur_g) * rounding
+    weyl = _gamma_tilde(n) * fro_e
+    tau = max(Fraction(RANK_TOL ** 2), n * 2 * _U * (schur_g + weyl))
+    diag = g.real.diagonal()
+    d = Fraction(float(np.max(np.abs(diag))))
+    sigma = float(2 * (tau + (_gamma_tilde(n + 1) + _gamma_tilde(n)) * fro_e + _U * d))
+    g[np.diag_indices(n)] -= sigma
+    try:
+        r = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    fro_r = Fraction(float(np.vdot(r, r).real)) * rounding
+    shift = Fraction(sigma)  # a float operand would turn the Fractions below into floats
+    return shift - _gamma_tilde(n + 1) * fro_r - _U * (d + shift) - weyl > tau
+
+
 class FrameSystem:
     """A truncated frame given by its coefficient matrix against the ONB.
 
     Row m holds the Hermite coefficients of the m-th frame element.
     The ascending eigenvalues of the Gram matrix E^H E (the squared
     singular values of E, whose extremes are the frame bounds) and the
-    canonical dual E^{-H} are computed lazily, once per system; the Gram
-    matrix itself is formed once, for its eigenvalues, and not kept.
-    Instances are treated as immutable after construction.
+    canonical dual E^{-H} are computed lazily, once per system.  The Gram
+    matrix is not kept: it is formed for the eigenvalues, and for the
+    dual's shifted-Cholesky proof of full rank only when the eigenvalues
+    have not been computed.  Instances are treated as immutable after
+    construction.
     """
 
     def __init__(self, coeffs, label: str = ""):
@@ -143,10 +236,15 @@ class FrameSystem:
     def canonical_dual(self) -> "FrameSystem":
         """Rows S^{-1} e_n: E (E^H E)^{-1}, which is E^{-H} for the square E.
 
-        The rank rule on the Gram eigenvalues decides whether the dual
-        exists; the dual itself is solved from E, not from E^H E.
+        The rank rule of ``_full_rank`` decides whether the dual exists.
+        Gram eigenvalues already computed decide it directly; otherwise one
+        shifted Cholesky (``_certify_full_rank``) may prove it, and only when
+        that proof fails are the eigenvalues computed to decide.  So every
+        rejection comes from the eigenvalues.  The dual itself is solved
+        from E, not from E^H E.
         """
-        _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
+        if "gram_eigenvalues" in self.__dict__ or not _certify_full_rank(self.matrix):
+            _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
         dual = np.linalg.inv(self.matrix).conj().T
         return FrameSystem(
             TruncatedMatrix(dual, margin=self.coeffs.margin),
@@ -220,12 +318,15 @@ def _fit_or_sentinel(a: TruncatedMatrix, beta: float | None, poly: bool = False)
     A window with too few populated distances to regress (a strictly
     banded matrix, or a window only one or two entries wide) is reported
     with rate +inf, c = max |a| and residual 0: it decays faster than any
-    envelope of either family.
+    envelope of either family.  The maximum is taken in blocks of rows, so
+    no N x N array of moduli is formed.
     """
     try:
         return fit_poly_decay(a) if poly else fit_decay(a, beta)
     except InsufficientDecayData:
-        return DecayFit(gamma=math.inf, c=float(np.max(np.abs(a.entries))), residual=0.0)
+        rows = range(0, a.n, _TRIAL_BLOCK)
+        c = max(float(np.max(np.abs(a.entries[start : start + _TRIAL_BLOCK]))) for start in rows)
+        return DecayFit(gamma=math.inf, c=c, residual=0.0)
 
 
 @dataclass(frozen=True)

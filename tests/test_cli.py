@@ -298,6 +298,36 @@ def test_no_subcommand_calls_the_svd(tmp_path, capsys, monkeypatch):
     assert outputs("no_svd") == want
 
 
+def test_dual_expand_and_fframe_compute_no_gram_eigenvalue(tmp_path, capsys, monkeypatch):
+    # None of them reports an eigenvalue: the dual's rank rule accepts on the
+    # shifted-Cholesky proof, with the same outputs as from the eigenvalues.
+    n = 256
+    rng = np.random.default_rng(5)
+    rows = [[[float(x), float(y)] for x, y in eps * rng.uniform(-0.7, 0.7, (n, 2))] for eps in (0.36, 0.15)]
+    payload = {"spec": {"r": 2, "eps": [0.36, 0.15], "a": rows}, "n": n, "beta": 1.0, "levels": [0, 2], "samples": 5,
+               "seed": 4}
+    cfg = write_config(tmp_path, "c.json", payload)
+
+    def outputs(tag):
+        result = {}
+        for command in ("dual", "expand", "fframe"):
+            out = tmp_path / tag / command
+            code = main([command, "--config", cfg, "--out", str(out)])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            result[command] = code, captured.out.replace(str(out), "OUT"), captured.err, files
+        return result
+
+    want = outputs("plain")
+    assert [code for code, *_ in want.values()] == [0, 0, 0]
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert outputs("no_eigvalsh") == want
+
+
 def test_gen_binary_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,

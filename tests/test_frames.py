@@ -501,11 +501,12 @@ def test_frame_bounds_match_toeplitz_closed_form(t, n):
     assert hi == pytest.approx(want_hi, rel=1e-12, abs=0)
 
 
-def shift_sigma_min_squared(t, n):
-    """sigma_min^2 of I + tS at 50 digits, by Sturm-count bisection.
+def shift_gram_eigenvalue(t, n, k=1):
+    """The k-th smallest eigenvalue of E^T E, E = I + tS, at 50 digits, by Sturm-count bisection.
 
     E^T E is tridiagonal with diagonal (1, 1+t^2, ..., 1+t^2) and
-    off-diagonal t, and its spectrum lies in [0, (1+t)^2].
+    off-diagonal t, and its spectrum lies in [0, (1+t)^2].  k = 1 gives
+    sigma_min^2, k = n gives sigma_max^2.
     """
     with mp.workdps(50):
         t = mp.mpf(t)
@@ -522,7 +523,7 @@ def shift_sigma_min_squared(t, n):
         lo, hi = mp.mpf(0), (1 + t) ** 2
         for _ in range(180):  # 2^-180 (1+t)^2 is below 1e-50
             mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+            lo, hi = (lo, mid) if below(mid) >= k else (mid, hi)
         return lo
 
 
@@ -533,7 +534,7 @@ def test_lower_frame_bound_of_near_singular_shift_matches_mpmath(t, n):
     # eigenvalue is good to N eps lambda_max
     lo, hi = frame_bounds(FrameSystem(np.eye(n) + t * np.eye(n, k=1)))
     assert lo > 0
-    assert abs(mp.mpf(lo) - shift_sigma_min_squared(t, n)) <= n * np.finfo(float).eps * hi
+    assert abs(mp.mpf(lo) - shift_gram_eigenvalue(t, n)) <= n * np.finfo(float).eps * hi
 
 
 @st.composite
@@ -558,6 +559,109 @@ def test_rank_deficient_product_rejected_by_dual_and_jaffard(m):
         canonical_dual(FrameSystem(m))
     with pytest.raises(np.linalg.LinAlgError):
         jaffard_predict(TruncatedMatrix(m), beta=1.0, gamma=1.0)
+
+
+# The shifted-Cholesky certificate of full rank.  It may refuse, but when it
+# accepts, the exact Gram eigenvalues pass the rank rule, and so do the
+# computed ones, which decide every rejection.
+
+
+def _gram(e):
+    return frames._gram_product(e.conj().T, e, "the Gram matrix E^H E")
+
+
+def _certified_soundly(e, exact_extremes) -> bool:
+    """The certificate's verdict on E; when it holds, checked against ``exact_extremes()`` of E^H E."""
+    if not frames._certify_full_rank(e):
+        return False
+    lam_min, lam_max = exact_extremes()
+    assert lam_min > max(frames.RANK_TOL ** 2, e.shape[0] * np.finfo(float).eps * lam_max)
+    assert frames._full_rank(np.linalg.eigvalsh(_gram(e)))
+    return True
+
+
+def sandwich(n, sigma_min, cplx, seed):
+    """Q1 diag(geomspace(2, sigma_min, n)) Q2^T with Q1, Q2 orthogonal, or unitary when ``cplx``."""
+    rng = np.random.default_rng(seed)
+
+    def q():
+        z = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0)
+        return np.linalg.qr(z)[0]
+
+    return q() @ np.diag(np.geomspace(2.0, sigma_min, n)) @ q().T
+
+
+def mpmath_gram_extremes(e):
+    """sigma_min^2 and sigma_max^2 of E from 40-digit singular values."""
+    with mp.workdps(40):
+        sv = (mp.svd_c if np.iscomplexobj(e) else mp.svd_r)(mp.matrix(e.tolist()), compute_uv=False)
+        return min(sv) ** 2, max(sv) ** 2
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.floats(min_value=0.9, max_value=1.0), n=st.integers(16, 128))
+def test_full_rank_certificate_on_near_singular_shift_against_sturm(t, n):
+    # sigma_min of I + tS is at least about 1/N here, well within the certificate's reach
+    e = np.eye(n) + t * np.eye(n, k=1)
+    assert _certified_soundly(e, lambda: (shift_gram_eigenvalue(t, n), shift_gram_eigenvalue(t, n, n)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    log_sigma_min=st.floats(min_value=-9.0, max_value=-1.0),
+    n=st.integers(8, 32),
+    cplx=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+@example(log_sigma_min=-4.0, n=32, cplx=True, seed=1)
+@example(log_sigma_min=-9.0, n=32, cplx=False, seed=2)
+def test_full_rank_certificate_on_sandwiches_against_mpmath(log_sigma_min, n, cplx, seed):
+    e = sandwich(n, 10.0 ** log_sigma_min, cplx, seed)
+    _certified_soundly(e, lambda: mpmath_gram_extremes(e))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [16, 128, 512])
+def test_full_rank_certificate_holds_up_to_condition_1e3(n, cplx):
+    assert frames._certify_full_rank(sandwich(n, 2e-3, cplx, seed=n))
+
+
+def test_full_rank_certificate_defers_when_its_norms_overflow():
+    # G = 1e308 I is finite but ||E||_F^2 is not; the eigenvalues then decide
+    e = 1e154 * np.eye(16)
+    assert not frames._certify_full_rank(e)
+    np.testing.assert_array_equal(canonical_dual(FrameSystem(e)).matrix, np.linalg.inv(e))
+
+
+def test_full_rank_certificate_charges_each_margin(monkeypatch):
+    # A Cholesky that completes proves lambda_min >= sigma - gamma~_{N+1} ||R||_F^2
+    # - u (max g_ii + sigma) - gamma~_N ||E||_F^2.  Substitute factors R of chosen
+    # size for E = I: one that leaves more than the formation (Weyl) margin above
+    # tau certifies; one that leaves half of it, or a far larger one, does not.
+    n, u = 16, 2.0 ** -53
+
+    def gamma_tilde(k):
+        return 3 * k * u / (1 - 3 * k * u)
+
+    tau = n * 2 * u * (1 + gamma_tilde(n) * n)  # ||I||_F^2 = n, Schur bound of I = 1
+    weyl = gamma_tilde(n) * n
+
+    def verdict(spare):
+        """The certificate on I when the factor's backward-error charge leaves ``spare`` above tau."""
+
+        def cholesky(h):
+            sigma = 1.0 - float(h[0, 0])  # H = I - sigma I, rounded
+            charge = sigma - tau - u * (1.0 + sigma) - spare
+            return math.sqrt(charge / gamma_tilde(n + 1) / n) * np.eye(n)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "cholesky", cholesky)
+            return frames._certify_full_rank(np.eye(n))
+
+    assert frames._certify_full_rank(np.eye(n))
+    assert verdict(2.0 * weyl)
+    assert not verdict(0.5 * weyl)
+    assert not verdict(-1e3 * weyl)
 
 
 # The dual is E^{-H}, an inverse through LU with partial pivoting, whose
@@ -765,6 +869,17 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_decay_sentinel_forms_no_matrix_of_moduli():
+    # a banded system has too few populated distances to fit, so the sentinel's
+    # max |a| is taken; it runs in row blocks, not over an N x N array of moduli
+    n = 1024
+    a = TruncatedMatrix(np.eye(n) + 0.5 * np.eye(n, k=1))
+    peak = _traced_peak(lambda: frames._fit_or_sentinel(a, 1.0))
+    fit = frames._fit_or_sentinel(a, 1.0)
+    assert fit.gamma == math.inf and fit.c == 1.0 and fit.residual == 0.0
+    assert peak < n * n * 8 // 4
 
 
 def test_weighted_operator_norms_memory_stays_below_four_matrices():
