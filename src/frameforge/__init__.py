@@ -49,6 +49,7 @@ from .graded import (
     DistributionCoefficients,
     GradedNormProfile,
     expansion_error_curve,
+    fframe_bounds,
     fframe_bounds_estimate,
     graded_level_norm,
     graded_profile,

@@ -6,18 +6,20 @@ Usage::
                 --config <path> [--out <dir>] [--seed <u64>] [--no-timestamp]
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 invalid input,
-3 I/O error.  A malformed config value exits 2, in ``report`` too, and
-``report`` writes its files only after every step has run, so it leaves
-no output behind when it exits 2.
+3 I/O error.  Every config field is checked before any step runs: an
+unknown field, or a malformed value of any field, exits 2 whether or not
+the subcommand reads it.  ``report`` writes its files only after every
+step has run, so it leaves no output behind when it exits 2.
 ``report`` runs the same step functions as ``schur``, ``expand`` and
 ``fframe``, so each check has one verdict: ``expand`` fails on a
-non-monotone error curve, exactly as ``report`` does.  Identical config
-and seed produce byte-identical JSON output when timestamps are
-suppressed; randomness is drawn from per-step streams derived from the
-single seed and a fixed step label.  The environment variable
-``FRAME_FORGE_THREADS`` limits BLAS threads through ``threadpoolctl``;
-a value that is not a positive integer, or any value when
-``threadpoolctl`` is not installed, exits 2.
+non-monotone error curve, exactly as ``report`` does.  The ``fframe``
+intervals are proven Schur brackets of the graded frame bounds and draw
+no random vectors.  Identical config and seed produce byte-identical JSON
+output when timestamps are suppressed; randomness is drawn from per-step
+streams derived from the single seed and a fixed step label.  The
+environment variable ``FRAME_FORGE_THREADS`` limits BLAS threads through
+``threadpoolctl``; a value that is not a positive integer, or any value
+when ``threadpoolctl`` is not installed, exits 2.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ FIELDS = {
     "format": _one_of("csv", "binary"), "betas": _numbers, "p": float, "beta": float, "gamma": float,
     "gamma_prime": float, "gamma_dprime": float, "eps_free": float, "poly": _one_of(False, True),
     "family": _one_of(*weights._FAMILIES), "levels": _numbers, "checkpoints": _numbers,
-    "function": _test_function, "samples": int, "trials": int,
+    "function": _test_function, "trials": int, "weight": dict,
 }
 
 # The default of each key that several steps read, the same for all of them.
@@ -165,6 +167,13 @@ class Invocation:
             return FIELDS[key](self.cfg[key])
         except (TypeError, ValueError) as err:
             raise InvalidInput(f"bad config field {key!r}: {err}") from err
+
+    def check_fields(self) -> None:
+        """Reject a key that is not in ``FIELDS``, and pass every present value through its converter."""
+        for key in self.cfg:
+            if key not in FIELDS:
+                raise InvalidInput(f"unknown config field {key!r}")
+            self.get(key)
 
     def _with_margin(self, a: envelopes.TruncatedMatrix) -> envelopes.TruncatedMatrix:
         if "margin" not in self.cfg:
@@ -290,15 +299,11 @@ def _write_expansion(inv: Invocation, step: dict) -> Path:
 
 
 def step_fframe(inv: Invocation) -> dict:
-    """Graded frame intervals per level; each must be positive and finite."""
-    rng_seed = inv.step_seed("fframe")
+    """Proven graded frame bounds per level; the frame inequality holds where they are positive and finite."""
     family, beta = inv.grading()
-    levels = inv.get("levels")
-    count = inv.get("samples", 20)
-    samples = graded.standard_sample_set(inv.hermite, inv.system.n, count=count, seed=rng_seed)
     intervals = {}
-    for k in levels:
-        lo, hi = graded.fframe_bounds_estimate(inv.system, samples, family, float(k), beta=beta)
+    for k in inv.get("levels"):
+        lo, hi = graded.fframe_bounds(inv.system, family, float(k), beta=beta)
         intervals[str(k)] = {"lower": lo, "upper": hi}
     ok = all(0.0 < iv["lower"] <= iv["upper"] < math.inf for iv in intervals.values())
     return _result(ok, intervals=intervals)
@@ -458,6 +463,7 @@ def main(argv=None) -> int:
     try:
         inv = Invocation(_load_config(args.config), Path(args.out), args)
         inv.out.mkdir(parents=True, exist_ok=True)
+        inv.check_fields()
         with _thread_limiter():
             _COMMANDS[args.command](inv)
         return EXIT_OK

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .envelopes import (
+    _ROW_BLOCK,
     DecayEnvelope,
     DecayFit,
     InsufficientDecayData,
@@ -70,12 +71,6 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-10
-
-# Trial vectors and unit vectors go through the operators, and the sentinel of
-# ``_fit_or_sentinel`` takes its maximum, in blocks of at most this many rows:
-# block arrays stay small beside N x N (at N = 512 ``weighted_operator_norms``
-# peaks at 2.1 N^2 doubles, dual solve included).
-_TRIAL_BLOCK = 128
 
 
 class IncompatibleWeight(ValueError):
@@ -324,8 +319,8 @@ def _fit_or_sentinel(a: TruncatedMatrix, beta: float | None, poly: bool = False)
     try:
         return fit_poly_decay(a) if poly else fit_decay(a, beta)
     except InsufficientDecayData:
-        rows = range(0, a.n, _TRIAL_BLOCK)
-        c = max(float(np.max(np.abs(a.entries[start : start + _TRIAL_BLOCK]))) for start in rows)
+        rows = range(0, a.n, _ROW_BLOCK)
+        c = max(float(np.max(np.abs(a.entries[start : start + _ROW_BLOCK]))) for start in rows)
         return DecayFit(gamma=math.inf, c=c, residual=0.0)
 
 
@@ -455,8 +450,8 @@ def verify_example_inequalities(
     contraction = 0.0
     upper = 0.0
     lower = math.inf
-    for start in range(0, trials, _TRIAL_BLOCK):
-        f = rng.standard_normal((min(_TRIAL_BLOCK, trials - start), n))
+    for start in range(0, trials, _ROW_BLOCK):
+        f = rng.standard_normal((min(_ROW_BLOCK, trials - start), n))
         f /= np.linalg.norm(f, axis=1)[:, None]
         uf = synthesis(system, f)
         norm_uf = np.linalg.norm(uf, axis=1)
@@ -656,8 +651,8 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
         raise ValueError("system is not localized; weighted bounds do not apply")
     log_w = log_eval_weight(w, np.arange(1, e.n + 1, dtype=float))
     ratios = np.empty((3, e.n))
-    for start in range(0, e.n, _TRIAL_BLOCK):
-        j = slice(start, start + _TRIAL_BLOCK)
+    for start in range(0, e.n, _ROW_BLOCK):
+        j = slice(start, start + _ROW_BLOCK)
         scale = log_w - log_w[j, None]  # ||M e_j|| / ||e_j|| is the norm of M e_j at these log weights
         u = e.matrix.T[j].conj()  # the analysis of e_j is conj(column j of E), its synthesis row j of E
         ratios[:, j] = [_row_norms(m, scale, p) for m in (u, e.matrix[j], synthesis(e, u))]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelopes import _subexp_tail_integral
+from .envelopes import _scaled_abs_sums, _schur, _subexp_tail_integral
 from .frames import FrameSystem, analysis, canonical_dual
 from .hermite import HermiteContext, TestFunction, classify_coefficient_decay, project
 from .weights import _graded_row_norms, _log_abs, _log_grading, as_sequence, sup_graded_norm
@@ -31,6 +31,7 @@ __all__ = [
     "PairingResult",
     "PropertyPgReport",
     "expansion_error_curve",
+    "fframe_bounds",
     "fframe_bounds_estimate",
     "graded_level_norm",
     "graded_profile",
@@ -81,17 +82,33 @@ def graded_profile(c, family: str, levels=None, beta: float = 1.0) -> GradedNorm
     return GradedNormProfile(family=family, beta=beta, levels=levels, norms=norms)
 
 
+def fframe_bounds(e: FrameSystem, family: str, k: float, beta: float = 1.0) -> tuple[float, float]:
+    """Proven graded frame bounds (A_k, B_k) at one level: A_k ||c||_k <= ||analysis(c)||_k <= B_k ||c||_k.
+
+    With D = diag(e^l) for the level-k log grading l, analysis acts on
+    level-k norms as D conj(E) D^-1.  B_k is the Schur bound of its moduli,
+    and A_k is 1 / the Schur bound of D |conj(E^-1)| D^-1, the inverse read
+    off the canonical dual: conj(E^-1) is the transpose of the dual's
+    matrix E^-H, so its row and column sums are the dual's column and row
+    sums at the negated grading.  A_k = 0 or B_k = inf when a bound passes
+    the double range.  Raises LinAlgError when the system has no dual.
+    """
+    l = _log_grading(np.arange(1, e.n + 1, dtype=float), family, k, beta)
+    dual_rows, dual_cols = _scaled_abs_sums(canonical_dual(e).matrix, -l, -l)
+    return 1.0 / _schur(dual_cols, dual_rows, 2.0), _schur(*_scaled_abs_sums(e.matrix, l, l), 2.0)
+
+
 def fframe_bounds_estimate(
     e: FrameSystem, samples, family: str, k: float, beta: float = 1.0
 ) -> tuple[float, float]:
-    """Empirical two-sided bounds at one grading level.
+    """Inner estimates of the graded frame bounds on given vectors: the reference for ``fframe_bounds``.
 
     Returns (min, max) over the samples of the ratio between the level-k
     norm of the analysis coefficients and the level-k norm of the sample
-    itself.  Both ends positive and finite is the finite-truncation
-    evidence for a graded frame inequality at this level.  The samples
-    are analysed together, in one matrix product, and each block of norms
-    is one kernel call.
+    itself, so the true bounds lie outside this interval, and the proven
+    bracket of ``fframe_bounds`` contains it.  The samples are analysed
+    together, in one matrix product, and each block of norms is one
+    kernel call.
     """
     samples = list(samples)
     if not samples:
@@ -105,8 +122,9 @@ def fframe_bounds_estimate(
 
 
 def standard_sample_set(ctx: HermiteContext, n: int, count: int = 20, seed: int = 0):
-    """Deterministic structured samples plus seeded random decaying vectors.
+    """Vectors for inner estimates with ``fframe_bounds_estimate``: the reference for the bracket.
 
+    Deterministic structured samples plus seeded random decaying vectors.
     The structured part is h_1..h_8 and the projections of the two
     reference Gaussians; the random part draws coefficients with e^{-n}
     decay and random signs.

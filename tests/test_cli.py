@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameforge import cli, frames
+from frameforge import cli, frames, graded
 from frameforge.cli import main
 from frameforge.envelopes import TruncatedMatrix, p_series
 from frameforge.matio import load_frame_system, save_matrix, sidecar_path
@@ -175,7 +175,7 @@ def test_schur_pass(tmp_path):
     assert data["schur_bound"] >= data["spectral_norm"] - 1e-10
 
     # report's Schur step is the same check on the same matrix
-    rcfg = write_config(tmp_path, "r.json", {"matrix": mat, "p": 2, "levels": [0], "samples": 3, "seed": 1})
+    rcfg = write_config(tmp_path, "r.json", {"matrix": mat, "p": 2, "levels": [0], "seed": 1})
     assert main(["report", "--config", rcfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 0
     step = json.loads((tmp_path / "r" / "report.json").read_text())["steps"]["schur"]
     assert step == {"status": "pass", "schur_bound": data["schur_bound"], "spectral_norm": data["spectral_norm"]}
@@ -270,7 +270,7 @@ def test_no_subcommand_calls_the_svd(tmp_path, capsys, monkeypatch):
     save_matrix(path, TruncatedMatrix(np.eye(n) + 0.3 * np.eye(n, k=1) + 0.3 * np.eye(n, k=-1), margin=8))
     complex_spec = {"r": 1, "eps": [0.3], "a": [[[0.18, 0.24]] * n]}
     runs = {
-        "report": {"spec": SPEC, "n": n, "gamma": 2.0, "levels": [0, 1], "trials": 50, "samples": 5, "seed": 3,
+        "report": {"spec": SPEC, "n": n, "gamma": 2.0, "levels": [0, 1], "trials": 50, "seed": 3,
                    "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}},
         "jaffard": {"matrix": str(path), "beta": 1.0, "gamma": 1.0},
         "dual": {"spec": complex_spec, "n": n, "beta": 1.0},
@@ -304,8 +304,7 @@ def test_dual_expand_and_fframe_compute_no_gram_eigenvalue(tmp_path, capsys, mon
     n = 256
     rng = np.random.default_rng(5)
     rows = [[[float(x), float(y)] for x, y in eps * rng.uniform(-0.7, 0.7, (n, 2))] for eps in (0.36, 0.15)]
-    payload = {"spec": {"r": 2, "eps": [0.36, 0.15], "a": rows}, "n": n, "beta": 1.0, "levels": [0, 2], "samples": 5,
-               "seed": 4}
+    payload = {"spec": {"r": 2, "eps": [0.36, 0.15], "a": rows}, "n": n, "beta": 1.0, "levels": [0, 2], "seed": 4}
     cfg = write_config(tmp_path, "c.json", payload)
 
     def outputs(tag):
@@ -376,7 +375,7 @@ def test_expand_command(tmp_path):
 
     # Without a function or checkpoints, expand runs report's expansion step.
     base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 64, "levels": [0, 1],
-            "trials": 20, "samples": 5, "seed": 5}
+            "trials": 20, "seed": 5}
     cfg = write_config(tmp_path, "base.json", base)
     assert main(["expand", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 0
@@ -384,20 +383,56 @@ def test_expand_command(tmp_path):
     assert expanded == (tmp_path / "r" / "expansion.csv").read_bytes()
 
 
-def test_fframe_command_requires_seed(tmp_path):
+def test_fframe_command_needs_no_seed(tmp_path):
     base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "levels": [0, 1], "trials": 5}
     cfg = write_config(tmp_path, "f.json", base)
-    assert main(["fframe", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert main(["fframe", "--config", cfg, "--out", str(tmp_path), "--seed", "7"]) == 0
+    assert main(["fframe", "--config", cfg, "--out", str(tmp_path)]) == 0
     data = json.loads((tmp_path / "fframe.json").read_text())
     assert set(data["intervals"]) == {"0", "1"}
     for iv in data["intervals"].values():
         assert 0 < iv["lower"] <= iv["upper"]
 
-    # report's fframe step draws the same samples from the same seed
+    # report's fframe step reads the same brackets
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--seed", "7", "--no-timestamp"]) == 0
     steps = json.loads((tmp_path / "r" / "report.json").read_text())["steps"]
     assert steps["fframe"]["intervals"] == data["intervals"]
+
+
+def test_fframe_on_a_rank_deficient_matrix_exit_2(tmp_path, capsys):
+    sing = np.eye(32)
+    sing[4, 4] = 0.0
+    path = tmp_path / "sing.csv"
+    save_matrix(path, TruncatedMatrix(sing))
+    cfg = write_config(tmp_path, "f.json", {"matrix": str(path), "levels": [0]})
+    assert main(["fframe", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "singular at truncation" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fframe.json").exists()
+
+
+def test_fframe_draws_no_samples_and_builds_no_hermite_context(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("fframe sampled vectors or built a Hermite context")
+
+    monkeypatch.setattr(graded, "standard_sample_set", refuse)
+    monkeypatch.setattr(cli, "HermiteContext", refuse)
+    cfg = write_config(tmp_path, "f.json", {"spec": SPEC, "n": 64, "levels": [0, 2], "family": "subexp",
+                                            "beta": 0.5})
+    assert main(["fframe", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command", ["gen", "dual", "expand", "fframe", "report"])
+@pytest.mark.parametrize("key, value, message", [
+    ("samples", 20, "unknown config field 'samples'"),
+    ("level", [0], "unknown config field 'level'"),
+    ("trials", "x", "bad config field 'trials'"),
+])
+def test_every_config_field_is_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
+    # a field the subcommand does not read is checked all the same
+    cfg = write_config(tmp_path, "c.json", {"spec": SPEC, "n": 32, "seed": 1, key: value})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert list(out.iterdir()) == []
 
 
 def test_report_runs_and_is_deterministic(tmp_path):
@@ -407,7 +442,6 @@ def test_report_runs_and_is_deterministic(tmp_path):
         "gamma": 2.0,
         "levels": [0, 1, 2],
         "trials": 50,
-        "samples": 10,
         "seed": 11,
     }
     cfg = write_config(tmp_path, "r.json", cfg_payload)
@@ -430,7 +464,6 @@ def test_report_incompatible_weight_rejected_not_fatal(tmp_path):
         "n": 48,
         "levels": [0, 1],
         "trials": 20,
-        "samples": 5,
         "seed": 3,
         "weight": {"kind": "exponential", "gamma": 1.0},
     }
@@ -443,7 +476,7 @@ def test_report_incompatible_weight_rejected_not_fatal(tmp_path):
 
 
 def test_report_weighted_norms_are_brackets(tmp_path):
-    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 64, "levels": [0], "samples": 3, "seed": 3,
+    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 64, "levels": [0], "seed": 3,
                                             "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}})
     assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
     step = json.loads((tmp_path / "report.json").read_text())["steps"]["weighted_norms"]
@@ -461,7 +494,7 @@ def _sandwich_report_config(tmp_path, sigma_min):
     q2, _ = np.linalg.qr(rng.standard_normal((96, 96)))
     path = tmp_path / "near_singular.ffmx"
     save_matrix(path, TruncatedMatrix(q1 @ np.diag(np.geomspace(2.0, sigma_min, 96)) @ q2.T), binary=True)
-    return write_config(tmp_path, "r.json", {"matrix": str(path), "levels": [0], "samples": 3, "seed": 7})
+    return write_config(tmp_path, "r.json", {"matrix": str(path), "levels": [0], "seed": 7})
 
 
 def test_report_frame_bounds_fail_with_the_dual_when_the_lower_bound_is_noise(tmp_path):
@@ -498,8 +531,8 @@ def test_report_forms_the_gram_once(tmp_path, monkeypatch):
         return gram_product(*args)
 
     monkeypatch.setattr(frames, "_gram_product", counting)
-    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 32, "levels": [0, 1], "trials": 20, "samples": 3,
-                                            "seed": 2, "weight": {"kind": "moderate", "k": 1.0}})
+    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 32, "levels": [0, 1], "trials": 20, "seed": 2,
+                                            "weight": {"kind": "moderate", "k": 1.0}})
     assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
     steps = json.loads((tmp_path / "report.json").read_text())["steps"]
     assert all(step["status"] == "pass" for step in steps.values())
@@ -508,7 +541,7 @@ def test_report_forms_the_gram_once(tmp_path, monkeypatch):
 
 
 def test_report_trials_and_levels_default_alike_in_every_step(tmp_path):
-    base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "samples": 3, "seed": 2,
+    base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "seed": 2,
             "weight": {"kind": "moderate", "k": 1.0}}
     explicit = {**base, "trials": 1000, "levels": [0, 1, 2, 3, 4]}
     for name, payload in (("omitted", base), ("explicit", explicit)):
@@ -526,7 +559,6 @@ def test_report_with_timestamp_differs(tmp_path):
         "n": 32,
         "levels": [0],
         "trials": 5,
-        "samples": 3,
         "seed": 1,
     }
     cfg = write_config(tmp_path, "r.json", cfg_payload)
@@ -549,7 +581,6 @@ def test_report_builds_one_hermite_context(tmp_path, monkeypatch):
         "n": 32,
         "levels": [0, 1],
         "trials": 5,
-        "samples": 3,
         "seed": 2,
     }
     cfg = write_config(tmp_path, "r.json", cfg_payload)
@@ -560,7 +591,7 @@ def test_report_builds_one_hermite_context(tmp_path, monkeypatch):
 
 
 SPEC = {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}
-SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "samples": 3, "seed": 1}
+SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
 
 
 @pytest.mark.parametrize(

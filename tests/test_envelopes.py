@@ -537,7 +537,9 @@ def reference_fit(a, margin, abscissa):
     design = np.column_stack([x, np.ones_like(x)])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.max(np.abs(design @ sol - y)))
-    return max(0.0, -float(sol[0])), float(np.exp(sol[1])), resid
+    with np.errstate(over="ignore"):  # an intercept past the double range gives c = inf, as the library's rule does
+        c = float(np.exp(sol[1]))
+    return max(0.0, -float(sol[0])), c, resid
 
 
 def reference_inverse_violations(inv, margin, gamma1, beta, c_inv):

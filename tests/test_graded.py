@@ -7,10 +7,18 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from frameforge.frames import PerturbationSpec, analysis, build_perturbed_basis, canonical_dual, identity_frame
+from frameforge.frames import (
+    FrameSystem,
+    PerturbationSpec,
+    analysis,
+    build_perturbed_basis,
+    canonical_dual,
+    identity_frame,
+)
 from frameforge.graded import (
     DistributionCoefficients,
     expansion_error_curve,
+    fframe_bounds,
     fframe_bounds_estimate,
     graded_level_norm,
     graded_profile,
@@ -181,6 +189,84 @@ def test_fframe_bounds_match_per_sample_loop(ctx256, family, k):
 def test_fframe_bounds_zero_norm_sample_rejected():
     with pytest.raises(ValueError):
         fframe_bounds_estimate(identity_frame(8), [np.zeros(8)], "poly", 1)
+
+
+@st.composite
+def _localized_systems(draw, max_n):
+    """I + a noise e^{-rate |m - n|}, real or complex, full or one-sided, at a random N in 16..max_n."""
+    n = draw(st.integers(16, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    noise = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        noise = noise + 1j * rng.standard_normal((n, n))
+    # a triangular system tells the grading D from D^-1, where a full one is symmetric in law
+    noise = draw(st.sampled_from([lambda x: x, np.triu, np.tril]))(noise)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return FrameSystem(np.eye(n) + draw(st.floats(0.05, 0.3)) * noise * np.exp(-draw(st.floats(1.0, 2.5)) * d))
+
+
+_gradings = st.tuples(
+    st.sampled_from(["poly", "subexp"]), st.floats(0.0, 4.0), st.floats(0.0, 1.0, exclude_min=True)
+)
+
+
+def _level_log_weights(n, family, k, beta):
+    return _log_grading(np.arange(1, n + 1, dtype=float), family, k, beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(e=_localized_systems(128), grading=_gradings)
+def test_fframe_bracket_contains_the_singular_values_and_every_sampled_ratio(ctx256, e, grading):
+    # analysis acts on level-k norms as D conj(E) D^-1, D = diag(e^l)
+    family, k, beta = grading
+    lower, upper = fframe_bounds(e, family, k, beta)
+    l = _level_log_weights(e.n, family, k, beta)
+    sv = np.linalg.svd(np.exp(np.subtract.outer(l, l)) * e.matrix.conj(), compute_uv=False)
+    slack = 1e-12
+    assert sv[0] <= upper * (1 + slack)
+    # a computed singular value lies within about N eps sigma_max of the exact one
+    assert lower <= sv[-1] * (1 + slack) + e.n * np.finfo(float).eps * sv[0]
+    lo, hi = fframe_bounds_estimate(e, standard_sample_set(ctx256, e.n), family, k, beta)
+    assert lower <= lo * (1 + slack) and hi <= upper * (1 + slack)
+
+
+@settings(max_examples=10, deadline=None)
+@given(e=_localized_systems(32), grading=_gradings)
+def test_fframe_bracket_contains_the_mpmath_singular_values(e, grading):
+    family, k, beta = grading
+    lower, upper = fframe_bounds(e, family, k, beta)
+    l = _level_log_weights(e.n, family, k, beta)
+    # cond(D conj(E) D^-1) <= e^{2 (max l - min l)} cond(E): enough digits for sigma_min
+    with mpmath.workdps(30 + math.ceil(2 * (l.max() - l.min()) / math.log(10))):
+        scale = [mpmath.exp(mpmath.mpf(x)) for x in l]
+        m = mpmath.matrix(e.n, e.n)
+        for i in range(e.n):
+            for j in range(e.n):
+                m[i, j] = scale[i] * mpmath.conj(mpmath.mpmathify(e.matrix[i, j])) / scale[j]
+        sv = (mpmath.svd_c if np.iscomplexobj(e.matrix) else mpmath.svd_r)(m, compute_uv=False)
+        slack = mpmath.mpf(1e-12)
+        assert mpmath.mpf(lower) <= min(sv) * (1 + slack)
+        assert max(sv) <= mpmath.mpf(upper) * (1 + slack)
+
+
+@pytest.mark.parametrize("family, beta", [("poly", 1.0), ("subexp", 1.0), ("subexp", 0.5)])
+def test_fframe_bracket_of_an_onb_closes_at_one(family, beta):
+    # at N = 256 the subexp weights e^{4 n} pass the double range
+    for n in (64, 256):
+        for k in (0.0, 0.5, 1.0, 2.0, 4.0):
+            assert fframe_bounds(identity_frame(n), family, k, beta) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("family, beta", [("poly", 1.0), ("subexp", 1.0), ("subexp", 0.5)])
+def test_fframe_bracket_of_the_half_shift_narrows_with_the_level(family, beta):
+    # ||I + 0.5 S|| <= 1.5 and ||(I + 0.5 S)^-1|| <= 2, and the level-0 Schur bounds reach both.
+    # E and E^-1 are upper triangular and the grading grows, so D |E| D^-1 <= |E| entrywise.
+    system = perturbed(256)
+    lower, upper = fframe_bounds(system, family, 0.0, beta)
+    assert lower == pytest.approx(0.5, rel=1e-15) and upper == pytest.approx(1.5, rel=1e-15)
+    for k in (0.5, 1.0, 2.0, 4.0):
+        lo, hi = fframe_bounds(system, family, k, beta)
+        assert lower * (1 - 1e-15) <= lo <= hi <= upper * (1 + 1e-15)
 
 
 # ---------------------------------------------------------------- expansion
