@@ -114,6 +114,22 @@ def _numbers(value) -> list:
     return value
 
 
+def _integer(value) -> int:
+    """An integer, or a float with no fractional part; a boolean or a string is rejected, not converted."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _real(value) -> float:
+    """A number as a float; a boolean or a string is rejected, not read as 0, 1 or a number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _one_of(*allowed):
     def convert(value):
         # Compared with their types, so that 0 and 1 are not taken for booleans.
@@ -133,11 +149,11 @@ def _test_function(desc) -> TestFunction:
 
 # The converter of each config field, the same for every subcommand that reads it.
 FIELDS = {
-    "matrix": str, "spec": dict, "n": int, "margin": int, "seed": int, "label": str,
-    "format": _one_of("csv", "binary"), "betas": _numbers, "p": float, "beta": float, "gamma": float,
-    "gamma_prime": float, "gamma_dprime": float, "eps_free": float, "poly": _one_of(False, True),
+    "matrix": str, "spec": dict, "n": _integer, "margin": _integer, "seed": _integer, "label": str,
+    "format": _one_of("csv", "binary"), "betas": _numbers, "p": _real, "beta": _real, "gamma": _real,
+    "gamma_prime": _real, "gamma_dprime": _real, "eps_free": _real, "poly": _one_of(False, True),
     "family": _one_of(*weights._FAMILIES), "levels": _numbers, "checkpoints": _numbers,
-    "function": _test_function, "trials": int, "weight": dict,
+    "function": _test_function, "trials": _integer, "weight": dict,
 }
 
 # The default of each key that several steps read, the same for all of them.
@@ -165,7 +181,7 @@ class Invocation:
             return default
         try:
             return FIELDS[key](self.cfg[key])
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an integer past the float range
             raise InvalidInput(f"bad config field {key!r}: {err}") from err
 
     def check_fields(self) -> None:
@@ -260,7 +276,8 @@ def step_frame_bounds(inv: Invocation) -> dict:
 def step_dual_biorthogonality(inv: Invocation) -> dict:
     system = inv.system
     gram = frames.cross_gram(frames.canonical_dual(system), system).entries
-    dev = float(np.max(np.abs(gram - np.eye(system.n))))
+    gram.flat[:: system.n + 1] -= 1.0  # the deviation from the identity, in place
+    dev = float(np.max(np.abs(gram)))
     return _result(dev < 1e-8, max_deviation=dev)
 
 

@@ -382,40 +382,81 @@ def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChai
     )
 
 
-# Every row-blocked pass (the scaled sums here; in ``frames`` the unit-vector
-# ratios, the example's trial vectors and the decay sentinel's maximum) takes
-# at most this many rows at a time, so its block arrays stay small beside
-# N x N (at N = 512 ``weighted_operator_norms`` peaks at 2.1 N^2 doubles,
-# dual solve included).
+# Every row-blocked pass (the scaled sums and row norms here; in ``frames``
+# the Schur bounds of the weighted norms, the example's trial vectors and the
+# decay sentinel's maximum) takes at most this many rows at a time, so its
+# block arrays stay small beside N x N (at N = 512 ``weighted_operator_norms``
+# peaks at 2.06 N^2 doubles, dual solve included).
 _ROW_BLOCK = 128
 
 
-def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray, v=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of B = |m_ij| e^{r_i - c_j} and column sums of diag(v) B (v defaults to ones).
+def _scaled_abs_block(m: np.ndarray, mod: np.ndarray, r: np.ndarray, c: np.ndarray, er: np.ndarray, ec: np.ndarray,
+                      reduce, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """B = |m_ij| e^{r_i} e^{-c_j} for a block of rows m with moduli ``mod``, and ``reduce(B, axis=1)``.
 
-    B is formed in blocks of rows as the plain product |m| e^r e^-c; a cell
-    where that is not finite (a factor overflowed, or inf * 0) is recomputed
-    as exp(log|m_ij| + r_i - c_j), as in ``_ratio_form_where_nonfinite``, so
-    an entry past the double range is inf.  The sums are numpy reductions,
-    not BLAS matrix-vector products, whose bits can depend on the thread count.
+    ``er`` and ``ec`` are e^r and e^-c, and B is written to ``out``, which
+    may be ``mod`` itself (default: a new array).  B is formed as the plain
+    product; a cell where that is not finite (a factor overflowed, or
+    inf * 0) is recomputed as exp(log|m_ij| + r_i - c_j), as in
+    ``_ratio_form_where_nonfinite``, so an entry past the double range is
+    inf.  A non-finite cell makes its row's sum or maximum non-finite, so
+    cells are searched only when a reduced value is, and then reduced again.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        block = np.multiply(mod, er[:, None], out=out)
+        block *= ec
+        reduced = reduce(block, axis=1)
+        if not np.isfinite(reduced).all():
+            i, j = np.nonzero(~np.isfinite(block))
+            block[i, j] = np.exp(np.log(np.abs(m[i, j])) + r[i] - c[j])
+            reduced = reduce(block, axis=1)
+    return block, reduced
+
+
+def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of B = |m_ij| e^{r_i - c_j}, formed in blocks of rows by ``_scaled_abs_block``.
+
+    The sums are numpy reductions, not BLAS matrix-vector products, whose
+    bits can depend on the thread count.
     """
     with np.errstate(over="ignore"):
         er, ec = np.exp(r), np.exp(-c)
     row_sums, col_sums = np.empty(m.shape[0]), np.zeros(m.shape[1])
     for start in range(0, m.shape[0], _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            block = np.abs(m[rows])
-            block *= er[rows, None]
-            block *= ec
-            if not np.isfinite(block).all():
-                i, j = np.nonzero(~np.isfinite(block))
-                block[i, j] = np.exp(np.log(np.abs(m[rows][i, j])) + r[rows][i] - c[j])
-            row_sums[rows] = block.sum(axis=1)
-            if v is not None:  # an exact zero adds 0, also beside an infinite v_i
-                np.multiply(block, v[rows, None], out=block, where=block > 0.0)
+        mod = np.abs(m[rows])
+        block, row_sums[rows] = _scaled_abs_block(m[rows], mod, r[rows], c, er[rows], ec, np.sum, out=mod)
+        with np.errstate(over="ignore"):
             col_sums += block.sum(axis=0)
     return row_sums, col_sums
+
+
+def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of each row of B = |m_ij| e^{r_i - c_j}, formed by ``_scaled_abs_block``.
+
+    A row with peak b reduces to b at p = inf, to its sum at p = 1 and to
+    b (sum_j (B_ij / b)^p)^(1/p) otherwise; a row with an entry past the
+    double range gives inf, and an all-zero row 0.  This is the product
+    form of ``weights._row_norms``: within a few ulp of it, not its bits.
+    """
+    with np.errstate(over="ignore"):
+        er, ec = np.exp(r), np.exp(-c)
+    out = np.empty(m.shape[0])
+    for start in range(0, m.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        mod = np.abs(m[rows])
+        block, peaks = _scaled_abs_block(m[rows], mod, r[rows], c, er[rows], ec, np.max, out=mod)
+        with np.errstate(over="ignore"):
+            if p == math.inf:
+                out[rows] = peaks
+            elif p == 1:
+                out[rows] = block.sum(axis=1)
+            else:
+                # a zero or infinite peak divides by 1, so the row yields 0 or inf, never nan
+                block /= np.where((peaks > 0.0) & (peaks < math.inf), peaks, 1.0)[:, None]
+                block **= p
+                out[rows] = peaks * block.sum(axis=1) ** (1.0 / p)
+    return out
 
 
 def _schur(row_sums: np.ndarray, col_sums: np.ndarray, p: float) -> float:

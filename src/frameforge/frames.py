@@ -36,6 +36,8 @@ from .envelopes import (
     DecayFit,
     InsufficientDecayData,
     TruncatedMatrix,
+    _scaled_abs_block,
+    _scaled_abs_row_norms,
     _scaled_abs_sums,
     _schur,
     envelope_value,
@@ -44,7 +46,7 @@ from .envelopes import (
     membership_constant,
     p_series,
 )
-from .weights import Weight, _row_norms, _to_json_list, as_sequence, log_eval_weight
+from .weights import Weight, _to_json_list, as_sequence, log_eval_weight
 
 __all__ = [
     "DualLocalizationReport",
@@ -622,12 +624,25 @@ class OperatorNormReport:
 def _schur_bounds(mat: np.ndarray, log_w: np.ndarray, p: float) -> tuple[float, float, float]:
     """Schur bounds of B = D |conj(E)| D^-1, G^T = D |E^T| D^-1 and of G^T B >= |D S D^-1|, D = diag(e^log_w).
 
-    The product is never formed: its row sums are G^T (B 1), its column sums (G 1)^T B.
+    Both factors are formed from one block of moduli per block of rows.  The
+    product is never formed: its row sums are G^T (B 1) and its column sums
+    (G 1)^T B, and a block's rows of B 1 and G 1 are in hand with the block.
     """
-    b_rows, b_cols = _scaled_abs_sums(mat, log_w, log_w)
-    g_rows, g_cols = _scaled_abs_sums(mat, -log_w, -log_w)
-    s_rows = _scaled_abs_sums(mat, -log_w, -log_w, b_rows)[1]
-    s_cols = _scaled_abs_sums(mat, log_w, log_w, g_rows)[1]
+    with np.errstate(over="ignore"):
+        ew, einv = np.exp(log_w), np.exp(-log_w)
+    b_rows, g_rows = np.empty(mat.shape[0]), np.empty(mat.shape[0])
+    b_cols, g_cols, s_rows, s_cols = np.zeros((4, mat.shape[1]))
+    for start in range(0, mat.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        mod = np.abs(mat[rows])
+        b, b_rows[rows] = _scaled_abs_block(mat[rows], mod, log_w[rows], log_w, ew[rows], einv, np.sum)
+        g, g_rows[rows] = _scaled_abs_block(mat[rows], mod, -log_w[rows], -log_w, einv[rows], ew, np.sum, out=mod)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_cols += b.sum(axis=0)
+            g_cols += g.sum(axis=0)
+            # an exact zero adds 0, also beside an infinite row sum
+            s_rows += np.multiply(g, b_rows[rows, None], out=g, where=g > 0.0).sum(axis=0)
+            s_cols += np.multiply(b, g_rows[rows, None], out=b, where=b > 0.0).sum(axis=0)
     return _schur(b_rows, b_cols, p), _schur(g_cols, g_rows, p), _schur(s_rows, s_cols, p)
 
 
@@ -643,7 +658,11 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     to the Schur bound of D |M| D^-1, exact at p = 1 and p = inf.  The
     infimum of S is 1 / ||S^-1||, and S^-1 = conj(E^-1) E^-T is the frame
     operator of the canonical dual: it runs from 1 / (the dual's Schur
-    bound) up to the least unit-vector ratio of S.
+    bound) up to the least unit-vector ratio of S.  Both ends read the
+    same scaled moduli |m_ij| e^{l_i - l_j}, l = log w, formed in blocks of
+    rows (``envelopes._scaled_abs_block``): a ratio is the l^p norm of one
+    row of them, and the Schur bounds sum them.  The ratios are attained
+    values, computed in product form to within a few ulp.
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:
         raise IncompatibleWeight("incompatible weight: weight order must be below the localization order")
@@ -653,9 +672,9 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     ratios = np.empty((3, e.n))
     for start in range(0, e.n, _ROW_BLOCK):
         j = slice(start, start + _ROW_BLOCK)
-        scale = log_w - log_w[j, None]  # ||M e_j|| / ||e_j|| is the norm of M e_j at these log weights
         u = e.matrix.T[j].conj()  # the analysis of e_j is conj(column j of E), its synthesis row j of E
-        ratios[:, j] = [_row_norms(m, scale, p) for m in (u, e.matrix[j], synthesis(e, u))]
+        # ||M e_j|| / ||e_j|| is the norm of the row |(M e_j)_i| e^{l_i - l_j}
+        ratios[:, j] = [_scaled_abs_row_norms(m, -log_w[j], -log_w, p) for m in (u, e.matrix[j], synthesis(e, u))]
     # where rounding inverts a bracket that closes (p = 1), the proven end yields to the attained one
     norms = [(float(lo), max(hi, float(lo))) for lo, hi in zip(ratios.max(axis=1), _schur_bounds(e.matrix, log_w, p))]
     s_lo, s_hi = 1.0 / _schur_bounds(canonical_dual(e).matrix, log_w, p)[2], float(ratios[2].min())

@@ -618,6 +618,14 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
         ("dual", {"spec": SPEC, "n": 32, "poly": "false"}),
         ("report", dict(SMALL_REPORT, samples="x")),
         ("report", dict(SMALL_REPORT, p="x", weight={"kind": "moderate", "k": 1.0})),
+        ("fframe", {"spec": SPEC, "n": 32.9}),
+        ("report", dict(SMALL_REPORT, seed=2.5)),
+        ("gen", {"spec": SPEC, "n": 32, "margin": True}),
+        ("schur", {"matrix": "MATRIX", "p": True}),
+        ("gen", {"spec": SPEC, "n": "32"}),
+        ("schur", {"matrix": "MATRIX", "p": "2"}),
+        ("schur", {"matrix": "MATRIX", "p": 10 ** 400}),
+        ("gen", {"spec": SPEC, "n": math.inf}),
         ("gen", {"spec": dict(SPEC, eps=0.5), "n": 32}),
         ("gen", {"spec": dict(SPEC, a={"c": 0.5}), "n": 32}),
         ("gen", {"spec": {"r": 2, "eps": [0.1, 0.1], "a": [[0.1] * 32]}, "n": 32}),
@@ -633,6 +641,13 @@ def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_integral_float_config_values_read_as_integers(tmp_path):
+    cfg = write_config(tmp_path, "gen.json", {"spec": SPEC, "n": 32.0, "margin": 4.0, "label": "s"})
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path)]) == 0
+    sidecar = json.loads((tmp_path / "s.csv.json").read_text())
+    assert (sidecar["n"], sidecar["margin"]) == (32, 4) and type(sidecar["margin"]) is int
 
 
 def test_report_byte_identical_under_one_and_two_blas_threads(tmp_path):

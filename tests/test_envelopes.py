@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameforge import envelopes
+from frameforge import envelopes, frames
 from frameforge.envelopes import (
     DecayEnvelope,
     InsufficientDecayData,
@@ -29,7 +29,7 @@ from frameforge.envelopes import (
     verify_fixed_level_continuity,
 )
 from frameforge.frames import JaffardReport, verify_inverse_decay
-from frameforge.weights import sup_graded_norm
+from frameforge.weights import Weight, log_eval_weight, sup_graded_norm, weighted_row_norms
 
 # frozen oracle values (mpmath, 30 digits)
 P_1_HALF = 2.67040681796633972
@@ -254,6 +254,101 @@ def test_schur_bound_exponential_kernel_vs_series():
     assert bound <= 2 * p_series(gamma, 1.0) + 1e-8
 
 
+def _blockwise_scaled_abs_sums(m, r, c, v=None):
+    """The scaled sums written out as one pass per call: row sums of B = |m_ij| e^{r_i - c_j}, column sums of diag(v) B.
+
+    Each block of rows is tested for a non-finite cell before it is summed.
+    """
+    with np.errstate(over="ignore"):
+        er, ec = np.exp(r), np.exp(-c)
+    row_sums, col_sums = np.empty(m.shape[0]), np.zeros(m.shape[1])
+    for start in range(0, m.shape[0], envelopes._ROW_BLOCK):
+        rows = slice(start, start + envelopes._ROW_BLOCK)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block = np.abs(m[rows])
+            block *= er[rows, None]
+            block *= ec
+            if not np.isfinite(block).all():
+                i, j = np.nonzero(~np.isfinite(block))
+                block[i, j] = np.exp(np.log(np.abs(m[rows][i, j])) + r[rows][i] - c[j])
+            row_sums[rows] = block.sum(axis=1)
+            if v is not None:
+                np.multiply(block, v[rows, None], out=block, where=block > 0.0)
+            col_sums += block.sum(axis=0)
+    return row_sums, col_sums
+
+
+def _localized_complex(n, seed):
+    rng = np.random.default_rng(seed)
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.eye(n) + 0.3 * noise * np.exp(-1.2 * d)
+
+
+def test_scaled_abs_sums_keep_their_bits_past_the_double_range():
+    # inf * 0 in row 0 (e^800 e^-790) and row 3, overflows in rows 0 and 2, an all-zero row 4
+    m = np.array([[1.0, 1.0, 1e300], [2.0, 0.0, 3.0], [0.0, 1.0, 1e300], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    r = np.array([800.0, -800.0, 1000.0, 800.0, 5.0])
+    c = np.array([790.0, -5.0, 0.0])
+    rows, cols = envelopes._scaled_abs_sums(m, r, c)
+    assert rows.tobytes() == _blockwise_scaled_abs_sums(m, r, c)[0].tobytes()
+    assert cols.tobytes() == _blockwise_scaled_abs_sums(m, r, c)[1].tobytes()
+    assert rows[0] == rows[2] == math.inf and rows[4] == 0.0
+    assert rows[3] == pytest.approx(math.exp(10.0), rel=1e-13)
+    n = 300  # more than two row blocks
+    mat = _localized_complex(n, 4)
+    idx = np.arange(1, n + 1, dtype=float)
+    for l in (2000.0 * np.log1p(idx), np.sqrt(idx), np.zeros(n)):
+        for r, c in ((l, l), (-l, -l), (-l, l), (l, -l)):
+            got, ref = envelopes._scaled_abs_sums(mat, r, c), _blockwise_scaled_abs_sums(mat, r, c)
+            assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_schur_bounds_equal_the_four_pass_composition_bitwise(p):
+    n = 300
+    idx = np.arange(1, n + 1, dtype=float)
+    for mat in (_localized_complex(n, 5), _localized_complex(n, 6).real):
+        for l in (2000.0 * np.log1p(idx), 1.5 * np.log1p(idx), np.sqrt(idx)):
+            b_rows, b_cols = _blockwise_scaled_abs_sums(mat, l, l)
+            g_rows, g_cols = _blockwise_scaled_abs_sums(mat, -l, -l)
+            s_rows = _blockwise_scaled_abs_sums(mat, -l, -l, b_rows)[1]
+            s_cols = _blockwise_scaled_abs_sums(mat, l, l, g_rows)[1]
+            ref = (envelopes._schur(b_rows, b_cols, p), envelopes._schur(g_cols, g_rows, p),
+                   envelopes._schur(s_rows, s_cols, p))
+            assert np.array(frames._schur_bounds(mat, l, p)).tobytes() == np.array(ref).tobytes()
+
+
+@st.composite
+def _scaled_rows(draw):
+    """Rows m, row scales r and a moderate weight; some rows are zero, some hold a cell past the double range."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.choice([-1.0, 1.0], (rows, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, n))
+    m[rng.random((rows, n)) < draw(st.floats(0.0, 0.9))] = 0.0
+    r = rng.uniform(-10.0, 10.0, rows)
+    for i in range(rows):
+        kind = draw(st.sampled_from(["plain", "zero", "huge"]))
+        if kind == "zero":
+            m[i] = 0.0
+        elif kind == "huge":  # the explicitly scaled cell is finite, its weight >= 2 takes it past the range
+            r[i] = abs(r[i])
+            m[i, draw(st.integers(0, n - 1))] = 1.7e308 / math.exp(r[i])
+    return m, r, Weight("moderate", k=draw(st.floats(1.0, 3.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_scaled_rows(), p=st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+def test_scaled_abs_row_norms_match_the_weighted_norms_of_the_scaled_rows(case, p):
+    m, r, w = case
+    c = -log_eval_weight(w, np.arange(1, m.shape[1] + 1, dtype=float))
+    got = envelopes._scaled_abs_row_norms(m, r, c, p)
+    ref = weighted_row_norms(m * np.exp(r)[:, None], w, p)
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    finite = np.isfinite(ref)
+    np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-14, atol=0.0)
+
+
 def test_p_series_geometric_cases():
     assert p_series(1.0, 1.0) == pytest.approx(1 / (1 - math.exp(-1)), abs=1e-12)
     assert p_series(math.log(2.0), 1.0) == pytest.approx(2.0, abs=1e-12)
@@ -338,7 +433,7 @@ def test_poly_continuity_bound_zeta_case():
 
 
 def test_poly_continuity_bound_holds_on_random_matrices():
-    from frameforge.weights import sup_graded_norm
+    from frameforge.weights import Weight, log_eval_weight, sup_graded_norm, weighted_row_norms
 
     rng = np.random.default_rng(31)
     n = 128
@@ -363,7 +458,7 @@ def test_subexp_continuity_bound_formula_value():
 
 
 def test_subexp_continuity_bound_holds_on_random_matrices():
-    from frameforge.weights import sup_graded_norm
+    from frameforge.weights import Weight, log_eval_weight, sup_graded_norm, weighted_row_norms
 
     rng = np.random.default_rng(37)
     n = 128
