@@ -437,8 +437,13 @@ def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float)
     A row with peak b reduces to b at p = inf, to its sum at p = 1 and to
     b (sum_j (B_ij / b)^p)^(1/p) otherwise; a row with an entry past the
     double range gives inf, and an all-zero row 0.  This is the product
-    form of ``weights._row_norms``: within a few ulp of it, not its bits.
+    form of ``weights._row_norms``, not its bits: within a few ulp of it
+    while the weights stay in the double range, and past it within about
+    |r_i| eps relative (a cell recomputed in log form loses what the sum
+    of its large logs cancels).
     """
+    if not (p == math.inf or p >= 1):
+        raise ValueError("p must be in [1, inf]")
     with np.errstate(over="ignore"):
         er, ec = np.exp(r), np.exp(-c)
     out = np.empty(m.shape[0])

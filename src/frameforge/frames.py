@@ -662,7 +662,9 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     same scaled moduli |m_ij| e^{l_i - l_j}, l = log w, formed in blocks of
     rows (``envelopes._scaled_abs_block``): a ratio is the l^p norm of one
     row of them, and the Schur bounds sum them.  The ratios are attained
-    values, computed in product form to within a few ulp.
+    values, computed in product form: within a few ulp while the weights
+    stay in the double range, past it within about |l| eps relative.  A p
+    outside [1, inf] raises ValueError.
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:
         raise IncompatibleWeight("incompatible weight: weight order must be below the localization order")

@@ -487,6 +487,16 @@ def test_report_weighted_norms_are_brackets(tmp_path):
         assert 0 < bracket["lower"] <= bracket["upper"] < math.inf
 
 
+@pytest.mark.parametrize("p", [0.5, 0])
+def test_report_weighted_norms_fail_at_p_below_one(tmp_path, capsys, p):
+    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 64, "levels": [0], "seed": 3, "p": p,
+                                            "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}})
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 1
+    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+    assert steps["weighted_norms"] == {"status": "fail", "error": "p must be in [1, inf]"}
+    assert "failing steps: weighted_norms" in capsys.readouterr().err
+
+
 def _sandwich_report_config(tmp_path, sigma_min):
     """Report config on Q1 diag(geomspace(2, sigma_min, 96)) Q2^T, stored as FFMX."""
     rng = np.random.default_rng(5)

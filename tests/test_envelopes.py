@@ -433,7 +433,7 @@ def test_poly_continuity_bound_zeta_case():
 
 
 def test_poly_continuity_bound_holds_on_random_matrices():
-    from frameforge.weights import Weight, log_eval_weight, sup_graded_norm, weighted_row_norms
+    from frameforge.weights import sup_graded_norm
 
     rng = np.random.default_rng(31)
     n = 128
@@ -458,7 +458,7 @@ def test_subexp_continuity_bound_formula_value():
 
 
 def test_subexp_continuity_bound_holds_on_random_matrices():
-    from frameforge.weights import Weight, log_eval_weight, sup_graded_norm, weighted_row_norms
+    from frameforge.weights import sup_graded_norm
 
     rng = np.random.default_rng(37)
     n = 128

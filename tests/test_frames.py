@@ -789,6 +789,12 @@ def test_weighted_operator_norms_onb_all_ones():
         assert bracket == pytest.approx((1.0, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, math.nan])
+def test_weighted_operator_norms_reject_p_outside_one_to_inf(p):
+    with pytest.raises(ValueError, match=r"p must be in \[1, inf\]"):
+        weighted_operator_norms(perturbed(64), Weight("subexponential", beta=0.5, gamma=1.0), p)
+
+
 def test_weighted_operator_norms_perturbed_stable():
     w = Weight("subexponential", beta=0.5, gamma=1.0)
     r1 = weighted_operator_norms(perturbed(128), w, 2)
