@@ -106,11 +106,11 @@ def _load_config(path: str) -> dict:
 
 
 def _numbers(value) -> list:
-    """A list of numbers, returned as given because outputs echo its entries."""
+    """A list of numbers, each checked as ``_real`` checks one, returned as given because outputs echo its entries."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
     for x in value:
-        float(x)
+        _real(x)
     return value
 
 

@@ -397,10 +397,13 @@ def _scaled_abs_block(m: np.ndarray, mod: np.ndarray, r: np.ndarray, c: np.ndarr
     ``er`` and ``ec`` are e^r and e^-c, and B is written to ``out``, which
     may be ``mod`` itself (default: a new array).  B is formed as the plain
     product; a cell where that is not finite (a factor overflowed, or
-    inf * 0) is recomputed as exp(log|m_ij| + r_i - c_j), as in
+    inf * 0) is recomputed as exp(log|m_ij| + (r_i - c_j)), as in
     ``_ratio_form_where_nonfinite``, so an entry past the double range is
-    inf.  A non-finite cell makes its row's sum or maximum non-finite, so
-    cells are searched only when a reduced value is, and then reduced again.
+    inf.  The nearly cancelling r_i - c_j is taken first, so the cell is
+    within a few |log B_ij| eps relative, the error of exp at its own
+    argument, however large r_i and c_j are.  A non-finite cell makes its
+    row's sum or maximum non-finite, so cells are searched only when a
+    reduced value is, and then reduced again.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         block = np.multiply(mod, er[:, None], out=out)
@@ -408,7 +411,7 @@ def _scaled_abs_block(m: np.ndarray, mod: np.ndarray, r: np.ndarray, c: np.ndarr
         reduced = reduce(block, axis=1)
         if not np.isfinite(reduced).all():
             i, j = np.nonzero(~np.isfinite(block))
-            block[i, j] = np.exp(np.log(np.abs(m[i, j])) + r[i] - c[j])
+            block[i, j] = np.exp(np.log(np.abs(m[i, j])) + (r[i] - c[j]))
             reduced = reduce(block, axis=1)
     return block, reduced
 
@@ -438,9 +441,9 @@ def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float)
     b (sum_j (B_ij / b)^p)^(1/p) otherwise; a row with an entry past the
     double range gives inf, and an all-zero row 0.  This is the product
     form of ``weights._row_norms``, not its bits: within a few ulp of it
-    while the weights stay in the double range, and past it within about
-    |r_i| eps relative (a cell recomputed in log form loses what the sum
-    of its large logs cancels).
+    while the weights stay in the double range, and past it within a few
+    |log B_ij| eps relative (a cell recomputed in log form carries the
+    error of exp at its own argument).
     """
     if not (p == math.inf or p >= 1):
         raise ValueError("p must be in [1, inf]")

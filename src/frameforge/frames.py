@@ -13,9 +13,11 @@ frame-theoretic operation becomes dense linear algebra:
 E is square, so the dual is solved from E itself, as ``inv(E)^H``, with an
 error of order cond(E) eps; the normal equations in E^H E would square the
 condition number.  The Gram matrix E^H E is formed for its eigenvalues
-(the frame bounds, and the rank rule wherever they are computed anyway)
-or, when no eigenvalue is asked for, for one shifted Cholesky that proves
-full rank; it is not kept.
+(the frame bounds, and the rank rule wherever they are computed anyway);
+it is not kept.  When no eigenvalue is asked for, the dual's rank rule is
+first tried on a Gershgorin-type bound read off E's diagonal in O(N^2),
+which proves full rank for diagonally dominant systems, then on one
+shifted Cholesky of E^H E, which needs no structure.
 
 The reference basis is the Hermite basis throughout; a general Riesz
 reference is obtained by composing coefficient matrices.
@@ -113,9 +115,93 @@ def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
 _U = Fraction(1, 2 ** 53)  # unit roundoff of IEEE double precision
 
 
+_ETA = Fraction(1, 2 ** 1074)  # the least subnormal double: the absolute part of a rounding below the normal range
+_MAX = Fraction(np.finfo(float).max)
+
+
+def _gamma(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), exactly."""
+    return k * _U / (1 - k * _U)
+
+
 def _gamma_tilde(k: int) -> Fraction:
     """Higham's complex-safe constant, exactly: gamma_{3k}, with gamma_j = j u / (1 - j u)."""
-    return 3 * k * _U / (1 - 3 * k * _U)
+    return _gamma(3 * k)
+
+
+def _prove_full_rank_from_diagonal(e: np.ndarray) -> bool:
+    """Whether a Gershgorin-type bound on E's diagonal proves that E^H E has full rank.
+
+    True proves lambda_min(E^H E) > tau = max(RANK_TOL^2, N eps lambda_bar)
+    for a proven lambda_bar >= lambda_max(E^H E), the claim of
+    ``_certify_full_rank``, in one O(N^2) pass over the moduli of E and no
+    Gram matrix.  It covers systems dominated by their diagonal, such as
+    the localized perturbations of the identity that ``gen`` writes; False
+    proves nothing, and the caller goes on to the shifted Cholesky.
+
+    With d_i = |e_ii| and the deleted row and column sums
+    R_i = sum_{j != i} |e_ij| and C_i = sum_{j != i} |e_ji|,
+    sigma_min(E) >= L = min_i (d_i - (R_i + C_i) / 2)
+    (C. R. Johnson, "A Gersgorin-type lower bound for the smallest singular
+    value", Linear Algebra Appl. 112, 1989), and
+    lambda_max(E^H E) = sigma_max(E)^2 <= ||E||_inf ||E||_1, the Schur
+    bound: the largest row sum of |E| times its largest column sum.  So
+    L > 0 with L^2 > tau proves the claim.
+
+    Rounding, charged in exact rational arithmetic; u = 2^-53 = eps/2,
+    eta = 2^-1074 (the least subnormal) and gamma_k = k u / (1 - k u).
+
+    1. Moduli.  A modulus a = |e_ij|, computed in double precision
+       whatever the dtype of E, is within an ulp of it (exact for real E):
+       |a^ - a| <= 2u a + eta.  So a <= (a^ + eta) / (1 - 2u),
+       and the diagonal is rounded down: d_i >= (d^_i - eta) / (1 + 2u).
+    2. Sums.  R^_i and C^_i are floating-point sums of N non-negative
+       moduli (the diagonal zeroed, so adding an exact 0) in some order,
+       within gamma_N of the exact sums of the a^ (Higham, *Accuracy and
+       Stability of Numerical Algorithms*, 2002, sec. 4.2).  With step 1,
+       R_i <= (R^_i / (1 - gamma_N) + N eta) / (1 - 2u), and the same for C_i.
+    3. The minimum.  t^_i = fl(d^_i - fl(fl(R^_i + C^_i) / 2)) is computed
+       for every row.  Addition and subtraction round with a relative error
+       of at most u, also below the normal range; halving is exact but
+       below it, where it is within eta / 2.  So for s_i = R^_i + C^_i and t^_i > 0,
+       q_i = d^_i - s_i / 2 >= t^_i / (1 + u) - u s_i / 2 - eta / 2, and with
+       S = max R^ + max C^ >= s_i,  min q >= min t^ / (1 + u) - u S / 2 - eta / 2.
+    4. Together, for a = 1 / (1 + 2u) and b = 1 / (2 (1 - gamma_N) (1 - 2u)),
+       d_i - (R_i + C_i) / 2 >= a d^_i - b s_i - a eta - N eta / (1 - 2u)
+       = a q_i - (b - a/2) s_i - a eta - N eta / (1 - 2u), so
+       L >= a min q - (b - a/2) S - a eta - N eta / (1 - 2u).
+    5. Upper bound.  Each row sum d_i + R_i is at most
+       (max d^ + max R^ / (1 - gamma_N) + (N + 1) eta) / (1 - 2u), by steps 1
+       and 2, and each column sum likewise; lambda_bar is their product.
+
+    A sum that is not finite proves nothing.  Neither does a lambda_bar
+    above half the largest double: the Gram matrix might then overflow, and
+    ``_gram_product`` is left to say so.
+    """
+    n = e.shape[0]
+    diag, rows, cols = np.empty(n), np.empty(n), np.zeros(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _ROW_BLOCK):
+            block = np.abs(e[start : start + _ROW_BLOCK], dtype=float)
+            i = np.arange(block.shape[0])
+            diag[start + i] = block[i, start + i]
+            block[i, start + i] = 0.0
+            rows[start + i] = block.sum(axis=1)
+            cols += block.sum(axis=0)
+        t_min = float(np.min(diag - (rows + cols) / 2))
+    d_max, r_max, c_max = (float(np.max(x)) for x in (diag, rows, cols))
+    if not (all(map(math.isfinite, (d_max, r_max, c_max))) and t_min > 0):
+        return False
+    sums = 1 / (1 - _gamma(n))
+    s_max = Fraction(r_max) + Fraction(c_max)
+    q_min = Fraction(t_min) / (1 + _U) - _U * s_max / 2 - _ETA / 2
+    a, b = 1 / (1 + 2 * _U), sums / (2 * (1 - 2 * _U))
+    lower = a * q_min - (b - a / 2) * s_max - a * _ETA - n * _ETA / (1 - 2 * _U)
+    row_bar, col_bar = ((Fraction(d_max) + Fraction(x) * sums + (n + 1) * _ETA) / (1 - 2 * _U) for x in (r_max, c_max))
+    lam_bar = row_bar * col_bar
+    if lower <= 0 or lam_bar > _MAX / 2:
+        return False
+    return lower ** 2 > max(Fraction(RANK_TOL ** 2), n * 2 * _U * lam_bar)
 
 
 def _certify_full_rank(e: np.ndarray) -> bool:
@@ -206,7 +292,8 @@ class FrameSystem:
     canonical dual E^{-H} are computed lazily, once per system.  The Gram
     matrix is not kept: it is formed for the eigenvalues, and for the
     dual's shifted-Cholesky proof of full rank only when the eigenvalues
-    have not been computed.  Instances are treated as immutable after
+    have not been computed and E's diagonal does not dominate enough to
+    prove it in O(N^2).  Instances are treated as immutable after
     construction.
     """
 
@@ -234,13 +321,17 @@ class FrameSystem:
         """Rows S^{-1} e_n: E (E^H E)^{-1}, which is E^{-H} for the square E.
 
         The rank rule of ``_full_rank`` decides whether the dual exists.
-        Gram eigenvalues already computed decide it directly; otherwise one
-        shifted Cholesky (``_certify_full_rank``) may prove it, and only when
-        that proof fails are the eigenvalues computed to decide.  So every
-        rejection comes from the eigenvalues.  The dual itself is solved
-        from E, not from E^H E.
+        Gram eigenvalues already computed decide it directly.  Otherwise
+        two proofs are tried in turn: Johnson's bound on the diagonal of E
+        (``_prove_full_rank_from_diagonal``, O(N^2), no Gram matrix), then
+        one shifted Cholesky of E^H E (``_certify_full_rank``).  Only when
+        both fail are the eigenvalues computed to decide, so every
+        rejection comes from the eigenvalues.  Which proof runs depends on
+        E alone.  The dual itself is solved from E, not from E^H E.
         """
-        if "gram_eigenvalues" in self.__dict__ or not _certify_full_rank(self.matrix):
+        if "gram_eigenvalues" in self.__dict__ or not (
+            _prove_full_rank_from_diagonal(self.matrix) or _certify_full_rank(self.matrix)
+        ):
             _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
         dual = np.linalg.inv(self.matrix).conj().T
         return FrameSystem(
@@ -663,7 +754,8 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     rows (``envelopes._scaled_abs_block``): a ratio is the l^p norm of one
     row of them, and the Schur bounds sum them.  The ratios are attained
     values, computed in product form: within a few ulp while the weights
-    stay in the double range, past it within about |l| eps relative.  A p
+    stay in the double range, past it within a few |log B_ij| eps relative
+    for the scaled moduli B_ij of the row.  A p
     outside [1, inf] raises ValueError.
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:

@@ -7,8 +7,10 @@ Two interchangeable matrix encodings:
   shortest-repr float format, except that a negative-zero imaginary part
   is written as ``+0.0j``.  Zero entries are written as the one token
   ``0.0`` (real) or ``0.0+0.0j`` (complex), and the writer and the reader
-  do per-entry Python work only for the other cells, so the cost of a
-  banded matrix scales with its non-zero entries.
+  do per-entry Python work only for the other cells: the reader finds the
+  line breaks, the commas and the zero tokens with numpy over the file's
+  bytes, so a banded matrix costs one vectorized pass over the file plus
+  Python work that scales with its non-zero entries.
 * Binary: 16-byte header (magic ``FFMX``, little-endian u32 N, u32 flags,
   4 reserved bytes) followed by row-major little-endian float64 data;
   flag bit 0 marks complex data stored as interleaved (re, im) pairs.  A
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelopes import TruncatedMatrix
+from .envelopes import _ROW_BLOCK, TruncatedMatrix
 from .frames import FrameSystem, PerturbationSpec
 from .weights import _from_json_list
 
@@ -65,7 +67,8 @@ def _format_csv(entries, complex_entries: bool) -> str:
     data = np.ascontiguousarray(entries, dtype=complex if complex_entries else float)
     n = data.shape[0]
     # Testing the bit patterns, not ``!= 0``, keeps -0.0 off the zero token.
-    nonzero = data.view(np.int64).reshape(n, n, 2 if complex_entries else 1).any(axis=2)
+    bits = data.view(np.int64)
+    nonzero = (bits[:, 0::2] | bits[:, 1::2]) != 0 if complex_entries else bits != 0
     zero = _format_entry(0.0, complex_entries)
     lines = []
     for row, flags in zip(data, nonzero):
@@ -105,23 +108,111 @@ def _load_sidecar(path) -> dict:
     return {}
 
 
-def _parse_csv(text: str):
-    lines = text.strip().splitlines()
-    if not lines:
+# The ASCII characters that str.strip removes, and those of them that
+# str.splitlines breaks at ("\r\n" is one break).
+_ASCII_SPACE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_ASCII_BREAKS = np.frombuffer(b"\n\r\x0b\x0c\x1c\x1d\x1e", np.uint8)
+_SCAN_BYTES = 1 << 20  # the line-break search reads the file in pieces of this size
+
+
+def _line_bounds(b: np.ndarray, ascii_only: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets of the lines that str.splitlines finds in the UTF-8 bytes ``b``.
+
+    ``b`` holds stripped text, so it neither starts nor ends with a break.
+    Besides the ASCII breaks, a text that is not ASCII breaks at U+0085
+    (C2 85), U+2028 (E2 80 A8) and U+2029 (E2 80 A9); UTF-8 sequences are
+    self-synchronizing, so these byte patterns occur nowhere else.
+    """
+    found = []
+    for start in range(0, b.size, _SCAN_BYTES):
+        seg = b[start : start + _SCAN_BYTES]
+        pos = np.flatnonzero(seg < 0x20)
+        found.append(pos[np.isin(seg[pos], _ASCII_BREAKS)] + start)
+        if not ascii_only:
+            found.append(np.flatnonzero((seg == 0x85) | (seg == 0xA8) | (seg == 0xA9)) + start)
+    pos = np.concatenate(found)
+    size = np.ones(pos.size, dtype=np.int64)
+    if not ascii_only:
+        nel = (b[pos] == 0x85) & (b[pos - 1] == 0xC2)
+        sep = (b[pos] >= 0xA8) & (b[pos - 1] == 0x80) & (b[pos - 2] == 0xE2)
+        pos[nel], size[nel] = pos[nel] - 1, 2
+        pos[sep], size[sep] = pos[sep] - 2, 3
+        keep = (b[pos] < 0x80) | nel | sep
+        pos, size = pos[keep], size[keep]
+        order = np.argsort(pos, kind="stable")
+        pos, size = pos[order], size[order]
+    crlf = (b[pos] == 0x0D) & (b[pos + 1] == 0x0A)
+    size[crlf] = 2
+    keep = ~((b[pos] == 0x0A) & (b[pos - 1] == 0x0D))  # the "\n" of a "\r\n"
+    pos, size = pos[keep], size[keep]
+    return np.concatenate([[0], pos + size]), np.concatenate([pos, [b.size]])
+
+
+def _zero_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Which cells data[starts[k]:ends[k]] are exactly a zero token the writer emits.
+
+    A cell of a token's length is compared in one unaligned load of 8, 4,
+    2 or 1 bytes per piece of the token ("0.0+0.0j" is one 8-byte load,
+    "0.0" a 2-byte and a 1-byte load), read through a view of ``data`` that
+    starts an integer at every byte offset.
+    """
+    zero = np.zeros(starts.size, dtype=bool)
+    for token in (_format_entry(0.0, False).encode(), _format_entry(0.0, True).encode()):
+        fits = np.flatnonzero(ends - starts == len(token))
+        if not fits.size:
+            continue
+        match, at, offset = np.ones(fits.size, dtype=bool), starts[fits], 0
+        for width in (8, 4, 2, 1):
+            while len(token) - offset >= width:
+                piece = int.from_bytes(token[offset : offset + width], "little")
+                loads = np.ndarray((len(data) - width + 1,), dtype=f"<u{width}", buffer=data, strides=(1,))
+                match &= loads[at + offset] == piece
+                offset += width
+        zero[fits] = match
+    return zero
+
+
+def _parse_csv(blob: bytes):
+    """The matrix of a CSV file's UTF-8 bytes.
+
+    The grammar is that of the text: ``text.strip().splitlines()`` gives
+    the rows, ``line.split(",")`` the cells, and the width of row 1 is the
+    width of every row.  A cell that is exactly a zero token the writer
+    emits is 0; every other cell goes through ``complex(cell.strip())``, in
+    row-major order, so a malformed cell raises before a later row of the
+    wrong width.  A ``j`` or ``J`` anywhere makes the matrix complex.  numpy
+    finds the line breaks, the commas and the zero tokens over the bytes,
+    in blocks of rows, so only the other cells cost Python work.
+    """
+    ascii_only = blob.isascii()
+    data = blob if ascii_only else blob.decode("utf-8").strip().encode("utf-8")
+    lo, hi = 0, len(data)
+    while lo < hi and data[lo] in _ASCII_SPACE:
+        lo += 1
+    while hi > lo and data[hi - 1] in _ASCII_SPACE:
+        hi -= 1
+    if lo == hi:
         raise ValueError("no rows")
-    width = len(lines[0].split(","))
-    arr = np.zeros((len(lines), width), dtype=complex)
-    # Cells that are exactly a zero token the writer emits keep the zero
-    # already in ``arr``; every other cell goes through complex().
-    zero_re, zero_c = _format_entry(0.0, False), _format_entry(0.0, True)
-    for i, line in enumerate(lines):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise ValueError(f"row {i + 1} has {len(cells)} cells, row 1 has {width}")
-        cols = [j for j, cell in enumerate(cells) if cell != zero_c and cell != zero_re]
-        if cols:
-            arr[i, cols] = [complex(cells[j].strip()) for j in cols]
-    return arr if "j" in text or "J" in text else arr.real.copy()
+    b = np.frombuffer(data, np.uint8)[lo:hi]
+    line_starts, line_ends = _line_bounds(b, ascii_only)
+    width = data.count(b",", lo + line_starts[0], lo + line_ends[0]) + 1
+    arr = np.zeros((line_starts.size, width), dtype=complex)
+    for r0 in range(0, line_starts.size, _ROW_BLOCK):
+        starts, ends = line_starts[r0 : r0 + _ROW_BLOCK], line_ends[r0 : r0 + _ROW_BLOCK]
+        commas = np.flatnonzero(b[starts[0] : ends[-1]] == ord(",")) + starts[0]
+        cells = np.searchsorted(commas, ends) - np.searchsorted(commas, starts) + 1
+        wrong = np.flatnonzero(cells != width)
+        rows = wrong[0] if wrong.size else starts.size
+        commas = commas[: rows * (width - 1)].reshape(rows, width - 1)
+        cell_starts = lo + np.concatenate([starts[:rows, None], commas + 1], axis=1).ravel()
+        cell_ends = lo + np.concatenate([commas, ends[:rows, None]], axis=1).ravel()
+        parsed = np.flatnonzero(~_zero_cells(data, cell_starts, cell_ends))
+        spans = zip(cell_starts[parsed].tolist(), cell_ends[parsed].tolist())
+        values = [complex(data[s:e].decode("utf-8").strip()) for s, e in spans]
+        arr[r0 : r0 + rows].reshape(-1)[parsed] = values
+        if wrong.size:
+            raise ValueError(f"row {r0 + rows + 1} has {cells[rows]} cells, row 1 has {width}")
+    return arr if b"j" in data or b"J" in data else arr.real.copy()
 
 
 def _parse_binary(blob: bytes):
@@ -144,7 +235,7 @@ def load_matrix(path) -> TruncatedMatrix:
         raise FileNotFoundError(path)
     blob = path.read_bytes()
     try:
-        arr = _parse_binary(blob) if blob[:4] == MAGIC else _parse_csv(blob.decode("utf-8"))
+        arr = _parse_binary(blob) if blob[:4] == MAGIC else _parse_csv(blob)
     except (UnicodeDecodeError, ValueError) as err:
         raise ValueError(f"cannot parse matrix file {path}: {err}") from err
     meta = _load_sidecar(path)

@@ -327,6 +327,45 @@ def test_dual_expand_and_fframe_compute_no_gram_eigenvalue(tmp_path, capsys, mon
     assert outputs("no_eigvalsh") == want
 
 
+def test_dual_of_a_gen_system_forms_no_gram_matrix(tmp_path, capsys, monkeypatch):
+    # I + a_1 S + a_2 S^2 with |a_1| <= 0.36, |a_2| <= 0.15 is diagonally dominant:
+    # Johnson's bound proves full rank, with neither E^H E nor its Cholesky factor.
+    n = 256
+    rng = np.random.default_rng(9)
+    rows = [[[m * math.cos(t), m * math.sin(t)] for m, t in zip(eps * rng.uniform(0.05, 0.95, n),
+                                                                  rng.uniform(0.0, 2 * math.pi, n))]
+            for eps in (0.36, 0.15)]
+    gen = write_config(tmp_path, "gen.json", {"spec": {"r": 2, "eps": [0.36, 0.15], "a": rows}, "n": n,
+                                              "margin": 16, "label": "perturbed"})
+    assert main(["gen", "--config", gen, "--out", str(tmp_path)]) == 0
+    dual = write_config(tmp_path, "dual.json", {"matrix": str(tmp_path / "perturbed.csv"), "beta": 1.0})
+
+    def run(tag):
+        out = tmp_path / tag
+        code = main(["dual", "--config", dual, "--out", str(out)])
+        return code, capsys.readouterr().err, (out / "dual.json").read_bytes()
+
+    want = run("plain")
+    assert want[0] == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Gram matrix or its Cholesky factor was formed")
+
+    monkeypatch.setattr(frames, "_gram_product", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    assert run("no_gram") == want
+
+
+def test_dual_still_names_the_overflow_and_the_rank_deficiency(tmp_path, capsys):
+    for name, scale, message in (("huge", 1e160, "E^H E overflows the double range"),
+                                 ("tiny", 1e-12, "rank-deficient at this truncation")):
+        path = tmp_path / f"{name}.csv"
+        save_matrix(path, TruncatedMatrix(scale * np.eye(32)))
+        cfg = write_config(tmp_path, f"{name}.json", {"matrix": str(path), "beta": 1.0})
+        assert main(["dual", "--config", cfg, "--out", str(tmp_path / name)]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_gen_binary_round_trip(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -640,6 +679,14 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
         ("gen", {"spec": dict(SPEC, a={"c": 0.5}), "n": 32}),
         ("gen", {"spec": {"r": 2, "eps": [0.1, 0.1], "a": [[0.1] * 32]}, "n": 32}),
         ("gen", {"spec": {"r": 1, "eps": [0.1], "a": [[0.1] * 32, [0.1] * 32]}, "n": 32}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "levels": [True, "2"]}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "levels": [0, True]}),
+        ("report", dict(SMALL_REPORT, levels=["0"])),
+        ("expand", {"spec": SPEC, "n": 32, "levels": [0], "checkpoints": [False, 32]}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": [0], "checkpoints": ["16", 32]}),
+        ("fit", {"matrix": "MATRIX", "betas": [True]}),
+        ("fit", {"matrix": "MATRIX", "betas": ["1.0"]}),
+        ("fit", {"matrix": "MATRIX", "betas": [10 ** 400]}),
     ],
 )
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):

@@ -270,7 +270,7 @@ def _blockwise_scaled_abs_sums(m, r, c, v=None):
             block *= ec
             if not np.isfinite(block).all():
                 i, j = np.nonzero(~np.isfinite(block))
-                block[i, j] = np.exp(np.log(np.abs(m[rows][i, j])) + r[rows][i] - c[j])
+                block[i, j] = np.exp(np.log(np.abs(m[rows][i, j])) + (r[rows][i] - c[j]))
             row_sums[rows] = block.sum(axis=1)
             if v is not None:
                 np.multiply(block, v[rows, None], out=block, where=block > 0.0)
@@ -347,6 +347,34 @@ def test_scaled_abs_row_norms_match_the_weighted_norms_of_the_scaled_rows(case, 
     assert np.array_equal(np.isinf(got), np.isinf(ref))
     finite = np.isfinite(ref)
     np.testing.assert_allclose(got[finite], ref[finite], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_scaled_abs_row_norms_past_the_double_range_against_mpmath(p):
+    # With (1+n)^2000 every e^{l_n} overflows, so every cell is recomputed in
+    # log form, exp(log|m_ij| + (r_i - c_j)), where r_i = -l_i and c_j = -l_j
+    # are near -1e4 and nearly cancel.  Adding log|m_ij| + r_i first lost
+    # about |l_i| eps (2000 ulp); the error allowed is that of exp at its
+    # argument x_ij, a few |x_ij| eps.  The oracle reads the same doubles.
+    n = 48
+    rng = np.random.default_rng(3)
+    m = (np.eye(n) + np.diag(rng.uniform(-0.4, 0.4, n - 1), 1) + np.diag(rng.uniform(-0.3, 0.3, n - 1), -1)
+         + np.diag(rng.uniform(-0.2, 0.2, n - 2), 2))
+    l = log_eval_weight(Weight("moderate", k=2000.0), np.arange(1, n + 1, dtype=float))
+    got = envelopes._scaled_abs_row_norms(m, -l, -l, p)
+    checked = 0
+    with mp.workdps(40):
+        for i in range(n):
+            x = [mp.log(abs(mp.mpf(m[i, j]))) + mp.mpf(l[j]) - mp.mpf(l[i]) for j in np.flatnonzero(m[i])]
+            terms = [mp.exp(v) for v in x]
+            ref = max(terms) if p == math.inf else mp.fsum(t ** p for t in terms) ** (1 / mp.mpf(p))
+            if ref > mp.mpf(np.finfo(float).max):
+                assert got[i] == math.inf
+                continue
+            tol = np.finfo(float).eps * (2 * float(max(abs(v) for v in x)) + 16)
+            assert abs(got[i] - ref) <= tol * ref, i
+            checked += 1
+    assert checked > n // 2
 
 
 def test_p_series_geometric_cases():

@@ -1,12 +1,13 @@
 import ast
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from frameforge import frames, weights
@@ -662,6 +663,114 @@ def test_full_rank_certificate_charges_each_margin(monkeypatch):
     assert verdict(2.0 * weyl)
     assert not verdict(0.5 * weyl)
     assert not verdict(-1e3 * weyl)
+
+
+# The O(N^2) proof from the diagonal (Johnson's bound).  It may refuse, but
+# when it accepts, the exact singular values pass the rank rule.
+
+
+@st.composite
+def _near_johnson_boundary(draw):
+    """E = scale (D - X) with D - X exceeding Johnson's bound by a chosen margin.
+
+    D_ii exceeds Johnson's (R_i + C_i) / 2 by the margin in the tightest
+    rows.  Where X is Hermitian with the moduli of a non-negative matrix up
+    to a diagonal unitary similarity (a weighted graph Laplacian plus a
+    multiple of I), the bound is sharp: sigma_min is the margin itself.
+    """
+    n = draw(st.integers(1, 64))
+    cplx, sharp = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = 10.0 ** rng.uniform(-4.0, 0.0, (n, n))
+    a[rng.random((n, n)) < draw(st.floats(0.0, 0.95))] = 0.0
+    np.fill_diagonal(a, 0.0)
+    if sharp:
+        a = (a + a.T) / 2
+        phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, n)) if cplx else rng.choice([-1.0, 1.0], n)
+        x = phase[:, None] * a * phase.conj()[None, :]
+    else:
+        x = a * (np.exp(1j * rng.uniform(0.0, 2 * math.pi, (n, n))) if cplx else rng.choice([-1.0, 1.0], (n, n)))
+    johnson = (a.sum(axis=1) + a.sum(axis=0)) / 2
+    # the margin of the tightest rows, relative to the largest of Johnson's sums (or to 1)
+    margin = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, 0.0))
+    unit = max(float(johnson.max()), 1.0)
+    slack = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 1.0, n) * unit)
+    d = johnson + margin * unit + slack
+    scale = 10.0 ** draw(st.floats(-150.0, 150.0))
+    return scale * (np.diag(d) - x)
+
+
+def cycle_laplacian(n, shift, cplx=False):
+    """2 I - P - P^T + shift I for the cyclic shift P, under a diagonal unitary similarity when ``cplx``.
+
+    Johnson's bound is sharp on it: the bound is ``shift``, and so is
+    sigma_min for 0 <= shift <= 2 (an eigenvalue for -2 <= shift < 0).
+    """
+    p = np.roll(np.eye(n), 1, axis=1)
+    e = (2.0 + shift) * np.eye(n) - p - p.T
+    if cplx:
+        phase = np.exp(1j * np.linspace(0.0, 6.0, n))
+        e = phase[:, None] * e * phase.conj()[None, :]
+    return e
+
+
+@settings(max_examples=25, deadline=None)
+@given(e=_near_johnson_boundary())
+@example(e=np.eye(64) + 0.45 * np.eye(64, k=1) + 0.45 * np.eye(64, k=-1))
+@example(e=1e150 * (np.eye(48) + 0.3j * np.eye(48, k=2)))
+@example(e=1e-9 * (np.eye(48) + 0.3 * np.eye(48, k=-1)))
+@example(e=cycle_laplacian(64, 1e-9))
+@example(e=cycle_laplacian(64, -1e-9))
+@example(e=cycle_laplacian(40, 1e-3, cplx=True))
+def test_proof_from_the_diagonal_against_mpmath(e):
+    accepted = frames._prove_full_rank_from_diagonal(e)
+    event("accepted" if accepted else "refused")
+    if not accepted:
+        return
+    with mp.workdps(20):  # the proof's margins are near N eps relative, far above 1e-20
+        sv = (mp.svd_c if np.iscomplexobj(e) else mp.svd_r)(mp.matrix(e.tolist()), compute_uv=False)
+        lam_min, lam_max = min(sv) ** 2, max(sv) ** 2
+        assert lam_min > max(frames.RANK_TOL ** 2, e.shape[0] * np.finfo(float).eps * lam_max)
+
+
+def test_proof_from_the_diagonal_refuses_what_it_cannot_show():
+    n = 32
+    # sigma_min = 1e-12 is below RANK_TOL: the eigenvalues decide, and reject
+    assert not frames._prove_full_rank_from_diagonal(1e-12 * np.eye(n))
+    with pytest.raises(np.linalg.LinAlgError):
+        canonical_dual(FrameSystem(1e-12 * np.eye(n)))
+    # a Gram matrix that overflows is left to _gram_product, which names the overflow
+    for scale in (1e154, 1e160):
+        assert not frames._prove_full_rank_from_diagonal(scale * np.eye(n))
+    with pytest.raises(ValueError, match="overflows the double range"):
+        canonical_dual(FrameSystem(1e160 * np.eye(n)))
+    # Johnson's bound is 1 - (0.6 + 0.6) / 2 = 0.4 > 0, but a Gram overflows
+    assert not frames._prove_full_rank_from_diagonal(1e160 * (np.eye(n) + 0.6 * np.eye(n, k=1)))
+    # not diagonally dominant: the sandwiches are the Cholesky's
+    e = sandwich(n, 0.5, True, seed=3)
+    assert not frames._prove_full_rank_from_diagonal(e) and frames._certify_full_rank(e)
+    # sigma_min = c just above RANK_TOL, by less than the charge for rounding the diagonal down
+    tol2 = Fraction(frames.RANK_TOL ** 2)
+    c = 1e-10
+    while Fraction(c) ** 2 <= tol2:
+        c = np.nextafter(c, 1.0)
+    assert not frames._prove_full_rank_from_diagonal(c * np.eye(n))
+    assert frames._prove_full_rank_from_diagonal(c * (1 + 1e-13) * np.eye(n))
+    # a diagonal at exactly Johnson's bound proves nothing
+    assert not frames._prove_full_rank_from_diagonal(np.eye(n) + np.eye(n, k=1) / 2 + np.eye(n, k=-1) / 2)
+    assert not frames._prove_full_rank_from_diagonal(np.full((n, n), np.nan))
+
+
+def test_proof_from_the_diagonal_accepts_the_perturbations_of_the_identity():
+    # |a_1| <= 0.36 and |a_2| <= 0.15 leave Johnson's bound at 1 - 0.51 or more
+    n = 256
+    rng = np.random.default_rng(5)
+    a = [eps * rng.uniform(0.05, 0.95, n) * np.exp(1j * rng.uniform(0, 2 * math.pi, n)) for eps in (0.36, 0.15)]
+    e = np.eye(n, dtype=complex) + np.diag(a[0][: n - 1], 1) + np.diag(a[1][: n - 2], 2)
+    assert frames._prove_full_rank_from_diagonal(e)
+    assert frames._prove_full_rank_from_diagonal(e.real)
+    assert frames._prove_full_rank_from_diagonal(e.conj().T)
+    assert frames._prove_full_rank_from_diagonal(e.astype(np.complex64))  # moduli and sums in double
 
 
 # The dual is E^{-H}, an inverse through LU with partial pivoting, whose

@@ -259,6 +259,67 @@ def test_csv_reader_grammar_matches_per_cell_reference(tmp_path_factory, grid, r
         assert_bitwise_equal(load_matrix(path).entries, expected)
 
 
+# Every line break str.splitlines accepts, and whitespace that str.strip removes.
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SPACES = ["", " ", "\t", "\x1f", "\xa0", "\u3000", "\u2009", "\n", "\r\n", "\x85", "\u2028 ", "\n\x1f", "\x1f\r"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from(_TOKENS + ["\xa01.5", "2.0\u3000"]), min_size=n, max_size=n),
+            min_size=1, max_size=n,
+        )
+    ),
+    breaks=st.lists(st.sampled_from(_BREAKS), min_size=5, max_size=5),
+    ends=st.tuples(st.sampled_from(_SPACES), st.sampled_from(_SPACES)),
+    ragged=st.booleans(),
+)
+def test_csv_reader_matches_the_reference_on_every_line_break(tmp_path_factory, grid, breaks, ends, ragged):
+    if ragged and len(grid) > 1:
+        grid[-1] = grid[-1][:-1] if len(grid[-1]) > 1 else grid[-1] + ["1.0"]
+    lines = [",".join(row) for row in grid]
+    text = ends[0] + "".join(line + brk for line, brk in zip(lines[:-1], breaks)) + lines[-1] + ends[1]
+    path = tmp_path_factory.mktemp("breaks") / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_parse_csv(text)
+    except ValueError:
+        expected = None
+    if expected is None or expected.ndim != 2 or expected.shape[0] != expected.shape[1]:
+        with pytest.raises(ValueError):
+            load_matrix(path)
+    else:
+        assert_bitwise_equal(load_matrix(path).entries, expected)
+
+
+def test_csv_reader_reads_a_matrix_over_several_row_blocks(tmp_path):
+    # more rows than one block of the reader, with every kind of cell, a break of each
+    # kind and whitespace of each kind around the text
+    n = 260
+    rng = np.random.default_rng(8)
+    m = np.where(rng.random((n, n)) < 0.03, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 0)
+    m[0, 0], m[1, 1], m[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324j
+    text = reference_format_csv(m)
+    path = tmp_path / "m.csv"
+    expected = reference_parse_csv(text)
+    for brk, space in [(brk, "\u3000") for brk in _BREAKS] + [("\r\n", space) for space in _SPACES]:
+        path.write_bytes((space + text.replace("\n", brk) + space).encode("utf-8"))
+        assert_bitwise_equal(load_matrix(path).entries, expected)
+
+
+def test_csv_reader_reports_the_first_error_in_row_order(tmp_path):
+    # a malformed cell is met before a later row of the wrong width, and a row of
+    # the wrong width before a malformed cell of its own or of a later row
+    path = tmp_path / "m.csv"
+    for text, message in (("1.0,2.0\nabc,1.0\n3.0\n", "malformed"), ("1.0,2.0\nabc\n1.0,x\n", "row 2 has 1"),
+                          ("1.0,2.0\n" * 200 + "1.0,abc,3.0\n", "row 201 has 3")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_matrix(path)
+
+
 def test_csv_uppercase_j_makes_the_matrix_complex(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1+2J,0.0\n0.0,1.0\n")
