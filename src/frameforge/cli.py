@@ -106,11 +106,12 @@ def _load_config(path: str) -> dict:
 
 
 def _numbers(value) -> list:
-    """A list of numbers, each checked as ``_real`` checks one, returned as given because outputs echo its entries."""
+    """A list of finite numbers, each checked as ``_real`` checks one, returned as given because outputs echo its entries."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
     for x in value:
-        _real(x)
+        if not math.isfinite(_real(x)):
+            raise ValueError(f"expected a finite number, got {x!r}")
     return value
 
 
@@ -285,7 +286,8 @@ def step_example_inequalities(inv: Invocation) -> dict:
     if "matrix" in inv.cfg:
         return {"status": "skipped", "reason": "system not built from a perturbation spec"}
     trials = inv.get("trials", 1000)
-    rep = frames.verify_example_inequalities(inv.perturbed[0], inv.system.n, trials, seed=inv.step_seed("example"))
+    spec, system, _ = inv.perturbed
+    rep = frames.verify_example_inequalities(spec, system.n, trials, seed=inv.step_seed("example"), system=system)
     return _result(rep.all_hold, contraction_max=rep.contraction_max, upper_max=rep.upper_max,
                    lower_min=rep.lower_min)
 

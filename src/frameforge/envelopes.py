@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc, zeta
+from scipy.special import gammaincc, gammaln, zeta
 
 from .weights import _log_grading
 
@@ -486,9 +486,23 @@ def schur_bound(a: TruncatedMatrix, p: float) -> float:
 
 
 def _subexp_tail_integral(gamma: float, beta: float, j: float) -> float:
-    # sum_{k > j} e^{-gamma k^beta} <= integral_j^inf e^{-gamma x^beta} dx
+    """integral_j^inf e^{-gamma x^beta} dx = Gamma(s) Q(s, gamma j^beta) / (beta gamma^s), s = 1/beta.
+
+    It bounds sum_{k > j} e^{-gamma k^beta}.  Where Gamma(s) or gamma^s
+    would leave the double range, the value is formed in logs, and is inf
+    when the integral itself passes the double range.  A regularized
+    Q(s, x) that underflows to 0 needs x past about 700 and far beyond s,
+    where the integral is below about 1e-290, and gives 0.
+    """
     s = 1.0 / beta
-    return float(_gamma_fn(s) / (beta * gamma ** s) * gammaincc(s, gamma * j ** beta))
+    q = gammaincc(s, gamma * j ** beta)
+    log_scale = s * math.log(gamma)
+    if s < 171.0 and abs(log_scale) < 700.0:
+        return float(_gamma_fn(s) / (beta * gamma ** s) * q)
+    if q == 0.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.exp(gammaln(s) - math.log(beta) - log_scale + math.log(q)))
 
 
 def p_series(gamma: float, beta: float, tol: float = 1e-12) -> float:
@@ -504,6 +518,11 @@ def p_series(gamma: float, beta: float, tol: float = 1e-12) -> float:
     |f^(3)(j)|/360.  With s = beta gamma j^beta, f'(j) = -s f(j)/j and
     |f^(3)(j)| = f(j) s (s^2 + 3 (1-beta) s + (1-beta)(2-beta)) / j^3.  A slow
     rate such as (gamma, beta) = (0.3, 0.25) closes after the first chunk.
+
+    A sum past the double range raises ValueError, as does one that is not
+    within ``tol`` after the term cap.  So a rate whose terms do not decay
+    in double precision, such as beta = 1e-300 (j^beta rounds to 1), gives
+    no finite value: its tail integral is inf.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -519,18 +538,23 @@ def p_series(gamma: float, beta: float, tol: float = 1e-12) -> float:
     while True:
         upper = min(j + chunk, cap + 1)
         block = np.arange(j, upper, dtype=float)
-        v = float(np.sum(np.exp(-gamma * block ** beta))) - carry
+        with np.errstate(over="ignore"):  # an exponent past the double range is -inf, its term 0
+            v = float(np.sum(np.exp(-gamma * block ** beta))) - carry
         t = total + v
         carry = (t - total) - v
         total = t
         j = upper
         if _subexp_tail_integral(gamma, beta, j - 1) < tol:
-            return total
+            break
         f, s = math.exp(-gamma * j ** beta), beta * gamma * j ** beta
         if f * s * (s * s + 3.0 * (1.0 - beta) * s + (1.0 - beta) * (2.0 - beta)) / j ** 3 / 360.0 < tol:
-            return total + (_subexp_tail_integral(gamma, beta, j) + f / 2.0 + s * f / j / 12.0 - carry)
+            total += _subexp_tail_integral(gamma, beta, j) + f / 2.0 + s * f / j / 12.0 - carry
+            break
         if j > cap:
-            raise RuntimeError("series did not reach tolerance within the term cap")
+            raise ValueError(f"the series of e^(-{gamma} j^{beta}) did not reach tolerance within the term cap")
+    if not math.isfinite(total):
+        raise ValueError(f"the series of e^(-{gamma} j^{beta}) passes the double range")
+    return total
 
 
 def poly_series(s: float) -> float:

@@ -8,16 +8,23 @@ frame-theoretic operation becomes dense linear algebra:
 * synthesis of a sequence a:        ``E.T @ a``
 * the same on a block of rows F:    ``F @ conj(E).T`` and ``F @ E``
 * frame operator on coordinates:    ``E.T @ conj(E)``
-* canonical dual system:            rows of ``E @ (E^H E)^{-1} = E^{-H}``
+* canonical dual system:            rows of ``E @ (E^H E)^{-1} = E^{-H}``,
+  from one inverse of E: by 2 x 2 block products when E is triangular
 
 E is square, so the dual is solved from E itself, as ``inv(E)^H``, with an
 error of order cond(E) eps; the normal equations in E^H E would square the
-condition number.  The Gram matrix E^H E is formed for its eigenvalues
-(the frame bounds, and the rank rule wherever they are computed anyway);
-it is not kept.  When no eigenvalue is asked for, the dual's rank rule is
-first tried on a Gershgorin-type bound read off E's diagonal in O(N^2),
-which proves full rank for diagonally dominant systems, then on one
-shifted Cholesky of E^H E, which needs no structure.
+condition number.  An upper triangular E, such as every perturbation of the
+identity I + sum_i a_i S^i, is inverted through
+[A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1], recursing on A and D down to
+blocks of at most ``_LEAF`` = 64 rows that go to LAPACK's LU; a lower
+triangular E through its transpose.  Any other E takes the LU whole.  The
+inverse-decay check reads the same inverse.  The Gram matrix E^H E is
+formed for its eigenvalues (the frame bounds, and the rank rule wherever
+they are computed anyway); it is not kept.  When no eigenvalue is asked
+for, the dual's rank rule is first tried on a Gershgorin-type bound read
+off E's diagonal in O(N^2), which proves full rank for diagonally
+dominant systems, then on one shifted Cholesky of E^H E, which needs no
+structure.
 
 The reference basis is the Hermite basis throughout; a general Riesz
 reference is obtained by composing coefficient matrices.
@@ -204,6 +211,68 @@ def _prove_full_rank_from_diagonal(e: np.ndarray) -> bool:
     return lower ** 2 > max(Fraction(RANK_TOL ** 2), n * 2 * _U * lam_bar)
 
 
+# Triangular systems are inverted by 2 x 2 blocking down to diagonal blocks of
+# at most this many rows, which go to LAPACK's LU (``np.linalg.inv``).
+_LEAF = 64
+# The dtypes that the block products keep; any other E goes to the LU whole.
+_BLOCKED_DTYPES = (np.dtype(float), np.dtype(complex))
+
+
+def _is_upper_triangular(u: np.ndarray) -> bool:
+    """Whether every entry of U strictly below the diagonal is zero.
+
+    U is read in blocks of ``_ROW_BLOCK`` rows, each up to its diagonal,
+    and the first block with a non-zero entry below it ends the test.
+    """
+    for start in range(0, u.shape[0], _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        if np.tril(u[start:stop, :stop], start - 1).any():
+            return False
+    return True
+
+
+def _invert_upper(u: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the upper triangular U into ``out``, whose part below the diagonal is zero.
+
+    With U = [A B; 0 D] and A of half the rows,
+    U^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1]: A^-1 and D^-1 come from the
+    recursion, and the corner is two matrix products.  Blocks of at most
+    ``_LEAF`` rows are inverted by ``np.linalg.inv``.  About 2N^3/3 flops
+    of GEMM against 8N^3/3 for the LU of E and its solve; the residual
+    ||X U - I|| keeps the order of the LU's (J. Du Croz and N. J. Higham,
+    "Stability of methods for matrix inversion", IMA J. Numer. Anal. 12,
+    1992).
+    """
+    n = u.shape[0]
+    if n <= _LEAF:
+        out[...] = np.linalg.inv(u)
+        return
+    h = n // 2
+    _invert_upper(u[:h, :h], out[:h, :h])
+    _invert_upper(u[h:, h:], out[h:, h:])
+    corner = out[:h, :h] @ u[:h, h:]
+    np.matmul(np.negative(corner, out=corner), out[h:, h:], out=out[:h, h:])
+
+
+def _inverse(e: np.ndarray) -> np.ndarray:
+    """E^-1, for the dual and for the inverse-decay check: the one inverse of a system.
+
+    An upper triangular E of dtype float or complex is inverted by
+    ``_invert_upper``; a lower triangular one as the transpose of the
+    inverse of E^T.  Any other E goes to ``np.linalg.inv`` whole, so its
+    bits are those of the LU.  Which path runs depends on E's dtype and
+    zero pattern alone: a tridiagonal E leaves each triangularity test
+    after its first block of rows.
+    """
+    if e.dtype in _BLOCKED_DTYPES:
+        for u in (e, e.T):
+            if _is_upper_triangular(u):
+                out = np.zeros_like(u)
+                _invert_upper(u, out)
+                return out if u is e else out.T
+    return np.linalg.inv(e)
+
+
 def _certify_full_rank(e: np.ndarray) -> bool:
     """Whether one shifted Cholesky of fl(E^H E) proves that E^H E has full rank.
 
@@ -289,7 +358,8 @@ class FrameSystem:
     Row m holds the Hermite coefficients of the m-th frame element.
     The ascending eigenvalues of the Gram matrix E^H E (the squared
     singular values of E, whose extremes are the frame bounds) and the
-    canonical dual E^{-H} are computed lazily, once per system.  The Gram
+    canonical dual E^{-H} are computed lazily, once per system; the dual
+    from ``_inverse``, by block products when E is triangular.  The Gram
     matrix is not kept: it is formed for the eigenvalues, and for the
     dual's shifted-Cholesky proof of full rank only when the eigenvalues
     have not been computed and E's diagonal does not dominate enough to
@@ -327,13 +397,18 @@ class FrameSystem:
         one shifted Cholesky of E^H E (``_certify_full_rank``).  Only when
         both fail are the eigenvalues computed to decide, so every
         rejection comes from the eigenvalues.  Which proof runs depends on
-        E alone.  The dual itself is solved from E, not from E^H E.
+        E alone.  The dual itself is solved from E, not from E^H E, by
+        ``_inverse``: a triangular E through the block identity
+        [A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1] down to blocks of at
+        most ``_LEAF`` rows, any other E by one LU.  The inverse is
+        conjugated in place and transposed, with no further N x N copy.
         """
         if "gram_eigenvalues" in self.__dict__ or not (
             _prove_full_rank_from_diagonal(self.matrix) or _certify_full_rank(self.matrix)
         ):
             _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
-        dual = np.linalg.inv(self.matrix).conj().T
+        inverse = _inverse(self.matrix)
+        dual = (np.conjugate(inverse, out=inverse) if np.iscomplexobj(inverse) else inverse).T
         return FrameSystem(
             TruncatedMatrix(dual, margin=self.coeffs.margin),
             label=f"dual({self.label})" if self.label else "dual",
@@ -528,16 +603,18 @@ class ExampleInequalityReport:
 
 
 def verify_example_inequalities(
-    spec: PerturbationSpec, n: int, trials: int, seed: int = 0
+    spec: PerturbationSpec, n: int, trials: int, seed: int = 0, system: FrameSystem | None = None
 ) -> ExampleInequalityReport:
     """Extrema of the three inequalities over ``trials`` random unit vectors.
 
     The trials run in seeded blocks of rows, one synthesis product per
     block; the blocks draw from the generator in the same order as one
     vector per trial would, so the trial vectors do not depend on the
-    block size.
+    block size.  ``system`` is ``build_perturbed_basis(spec, n)``'s, when
+    the caller holds it already; otherwise it is built here.
     """
-    system, _ = build_perturbed_basis(spec, n)
+    if system is None:
+        system, _ = build_perturbed_basis(spec, n)
     c_factor = (3.0 + sum(spec.eps)) / 4.0
     rng = np.random.default_rng(seed)
     contraction = 0.0
@@ -681,14 +758,15 @@ class InverseDecayReport:
 def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDecayReport:
     """Entrywise check of |A^{-1}| <= C_inv e^{-gamma1 |m-n|^beta} on the window.
 
-    The inverse is computed by direct dense solve; also reports the
+    The inverse is the dual's (``_inverse``: block products when A is
+    triangular, one LU otherwise, as for a tridiagonal A); also reports the
     fitted decay rate of the inverse, which should dominate the predicted
     rate, or the +inf sentinel rate of ``_fit_or_sentinel`` when the
     window is too narrow to fit.  The bound is the ``jaffard`` envelope,
     so a report whose ``gamma1_pred`` is not positive raises ValueError.
     """
     env = DecayEnvelope("jaffard", gamma=report.gamma1_pred, beta=report.beta, c=report.c_inv_pred)
-    inv = np.linalg.inv(a.entries)
+    inv = _inverse(a.entries)
     inv_mat = TruncatedMatrix(inv, margin=a.margin)
     w = inv_mat.window
     sub = np.abs(inv[w, w])

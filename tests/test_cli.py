@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,40 @@ def test_jaffard_at_a_slow_rate_reports_instead_of_raising(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     rep = json.loads((tmp_path / "jaffard.json").read_text())["report"]
     assert rep["p_split"] == pytest.approx(p_series(0.125, 0.25), rel=1e-15)
+
+
+def test_jaffard_rate_past_the_double_range_exit_2(tmp_path, capsys):
+    # beta = 1e-300 made gamma^(1/beta) in the series P overflow as a Python
+    # float power, which escaped main as an OverflowError
+    n = 64
+    path = tmp_path / "band.ffmx"
+    save_matrix(path, TruncatedMatrix(np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))), binary=True)
+    cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1e-300, "gamma": 17.94})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "passes the double range" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "jaffard.json").exists()
+
+
+def test_jaffard_on_a_tridiagonal_matrix_keeps_the_lu_inverse(tmp_path, monkeypatch):
+    # A tridiagonal matrix is not triangular: its inverse is the LU's, so
+    # jaffard.json has the bits of a run that calls np.linalg.inv directly.
+    n = 256
+    path = tmp_path / "band.ffmx"
+    a = np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    save_matrix(path, TruncatedMatrix(a, margin=16), binary=True)
+    cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": math.log(1 / 0.3)})
+
+    def blocked(*args):
+        raise AssertionError("blocked triangular inverse used")
+
+    monkeypatch.setattr(frames, "_invert_upper", blocked)
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "inverse")]) == 0
+    monkeypatch.setattr(frames, "_inverse", np.linalg.inv)
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "lu")]) == 0
+    assert (tmp_path / "inverse" / "jaffard.json").read_bytes() == (tmp_path / "lu" / "jaffard.json").read_bytes()
 
 
 def test_jaffard_narrow_window_reports_sentinel_rate(tmp_path):
@@ -639,6 +674,23 @@ def test_report_builds_one_hermite_context(tmp_path, monkeypatch):
     assert built == [32]
 
 
+def test_report_builds_one_perturbed_system(tmp_path, monkeypatch):
+    # example_inequalities samples the system that the other steps read; it built an N x N copy of its own
+    built = []
+    build = frames.build_perturbed_basis
+
+    def counting(spec, n):
+        built.append(n)
+        return build(spec, n)
+
+    monkeypatch.setattr(frames, "build_perturbed_basis", counting)
+    cfg = write_config(tmp_path, "r.json", dict(SMALL_REPORT, n=64))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
+    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+    assert steps["example_inequalities"]["status"] == "pass"
+    assert built == [64]
+
+
 SPEC = {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}
 SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
 
@@ -687,6 +739,13 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
         ("fit", {"matrix": "MATRIX", "betas": [True]}),
         ("fit", {"matrix": "MATRIX", "betas": ["1.0"]}),
         ("fit", {"matrix": "MATRIX", "betas": [10 ** 400]}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "levels": [math.inf]}),
+        ("fframe", {"spec": SPEC, "n": 32, "seed": 1, "levels": [0, math.nan]}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": [-math.inf]}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": [0], "checkpoints": [16, math.inf]}),
+        ("report", dict(SMALL_REPORT, levels=[math.inf])),
+        ("report", dict(SMALL_REPORT, betas=[math.nan])),
+        ("fit", {"matrix": "MATRIX", "betas": [1.0, -math.inf]}),
     ],
 )
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):

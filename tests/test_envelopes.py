@@ -609,6 +609,45 @@ def test_p_series_small_rates_match_mpmath(gamma, beta):
     assert p_series(gamma, beta) == pytest.approx(float(ref), rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "gamma, beta, j",
+    [(0.3, 0.25, 4096), (10.0, 0.005, 4096), (0.5, 0.004, 100), (1e300, 0.5, 4096), (1e-300, 1.0, 4096),
+     (7.6e16, 1e-17, 4096), (200.0, 0.004, 10)],
+)
+def test_subexp_tail_integral_against_mpmath(gamma, beta, j):
+    # Gamma(s) or gamma^s past the double range: the integral is formed in logs
+    with mp.workdps(30):
+        s = 1 / mp.mpf(beta)
+        ref = mp.gammainc(s, mp.mpf(gamma) * mp.mpf(j) ** mp.mpf(beta)) / (mp.mpf(beta) * mp.mpf(gamma) ** s)
+    got = envelopes._subexp_tail_integral(gamma, beta, j)
+    if ref < mp.mpf("1e-300"):
+        assert got < 1e-290
+    else:
+        assert got == pytest.approx(float(ref), rel=1e-9)
+
+
+@pytest.mark.parametrize("gamma, beta", [(17.94 / 4, 1e-300), (1.0, 0.005), (1e-5, 1e-20)])
+def test_p_series_past_the_double_range_raises(gamma, beta):
+    # the terms of beta = 1e-300 do not decay in double precision (j^beta rounds to 1);
+    # its tail integral overflowed as a Python float power and escaped as OverflowError
+    with pytest.raises(ValueError, match="passes the double range"):
+        p_series(gamma, beta)
+
+
+def test_p_series_of_an_enormous_finite_sum_or_rate():
+    # Gamma(200) overflows a double, the sum 7.9e174 does not; gamma^2 = 1e600 overflows, the sum is 1
+    with mp.workdps(30):
+        ref = mp.gammainc(200, 10) / (mp.mpf("0.005") * mp.mpf(10) ** 200)  # the integral from 0
+    assert p_series(10.0, 0.005) == pytest.approx(float(ref), rel=1e-9)
+    assert p_series(1e300, 0.5) == 1.0
+
+
+def test_p_series_term_cap_raises_value_error():
+    # it raised RuntimeError, which the command line did not catch
+    with pytest.raises(ValueError, match="term cap"):
+        p_series(1e-6, 1.0, tol=1e-300)
+
+
 @pytest.mark.parametrize("s", [1.001, 1.01, 1.1])
 def test_poly_series_near_one_matches_mpmath(s):
     assert poly_series(s) == pytest.approx(float(mp.zeta(s)), rel=1e-14)

@@ -788,8 +788,9 @@ def _dual_error_bound(e: np.ndarray, kappa: float) -> float:
 def shift_inverse(t, n):
     """(I + tS)^{-1}, whose k-th superdiagonal is (-t)^k, from 40-digit powers."""
     with mp.workdps(40):
-        powers = [float((-mp.mpf(t)) ** k) for k in range(n)]
-    return sum(np.diag(np.full(n - k, power), k) for k, power in enumerate(powers))
+        powers = np.array([float((-mp.mpf(t)) ** k) for k in range(n)])
+    k = np.subtract.outer(np.arange(n), np.arange(n)).T  # k[i, j] = j - i
+    return np.where(k >= 0, powers[np.maximum(k, 0)], 0.0)
 
 
 def refined_inverse(e):
@@ -816,6 +817,110 @@ def test_canonical_dual_of_near_singular_shift_matches_mpmath_inverse(t, n):
     exact = shift_inverse(t, n)
     err = np.linalg.norm(dual.T - exact, 2) / np.linalg.norm(exact, 2)
     assert err <= _dual_error_bound(e, np.linalg.cond(e))
+
+
+# Sizes past several levels of the blocked triangular inverse: 65 splits once
+# into leaves of 32 and 33 rows, 1024 four times into leaves of 64.
+_BLOCKED_SIZES = [65, 200, 513, 1024]
+
+
+@pytest.mark.parametrize("n", _BLOCKED_SIZES)
+@settings(max_examples=2, deadline=None)
+@given(t=st.floats(min_value=0.3, max_value=0.999))
+@example(t=0.999)
+def test_blocked_dual_of_shift_matches_mpmath_powers(n, t):
+    e = np.eye(n) + t * np.eye(n, k=1)
+    dual = canonical_dual(FrameSystem(e)).matrix
+    exact = shift_inverse(t, n)
+    err = np.linalg.norm(dual.T - exact, 2) / np.linalg.norm(exact, 2)
+    assert err <= _dual_error_bound(e, np.linalg.cond(e))
+
+
+@pytest.mark.parametrize("n", [65, 513])
+def test_blocked_dual_of_lower_triangular_shift_matches_mpmath_powers(n):
+    # E = I + t S^T is lower triangular: inverted as the transpose of the inverse of E^T
+    t = 0.95
+    e = np.eye(n) + t * np.eye(n, k=-1)
+    dual = canonical_dual(FrameSystem(e)).matrix  # E^{-H} = ((E^T)^{-1})^H, real here
+    exact = shift_inverse(t, n)
+    err = np.linalg.norm(dual - exact, 2) / np.linalg.norm(exact, 2)
+    assert err <= _dual_error_bound(e, np.linalg.cond(e))
+
+
+def complex_gen_system(n, seed):
+    """The r = 2 complex perturbation that ``gen`` writes: moduli eps_i U(0.05, 0.95), uniform phases."""
+    rng = np.random.default_rng(seed)
+    eps = (0.36, 0.15)
+    a = np.array([x * rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n)) for x in eps])
+    return build_perturbed_basis(PerturbationSpec(r=2, a=a, eps=eps), n)[0]
+
+
+def band_refined_inverse(e, width):
+    """E^{-1} as x0 + x0 (I - E x0) for x0 = the LU inverse, E upper triangular with ``width`` superdiagonals.
+
+    Each residual entry is a sum over the width + 1 non-zeros of a row of E,
+    taken exactly to 40 digits by ``mp.fdot``, so the sum errs by about
+    ||x0|| ||I - E x0||^2, of order cond(E)^2 eps^2 relative.
+    """
+    n = e.shape[0]
+    x0 = np.linalg.inv(e)
+    resid = np.empty((n, n), dtype=complex)
+    with mp.workdps(40):
+        rows = [[mp.mpc(v) for v in row] for row in x0]
+        for i in range(n):
+            terms = [(mp.mpc(e[i, k]), rows[k]) for k in range(i, min(i + width + 1, n))]
+            for j in range(n):
+                resid[i, j] = complex((i == j) - mp.fdot((c, row[j]) for c, row in terms))
+    return x0 + x0 @ resid
+
+
+@pytest.mark.parametrize("n, seed", [(200, 3), (300, 4)])
+def test_blocked_dual_of_complex_gen_system_matches_refined_inverse(n, seed):
+    system = complex_gen_system(n, seed)
+    e = system.matrix
+    exact = band_refined_inverse(e, width=2)
+    dual = canonical_dual(system).matrix
+    err = np.linalg.norm(dual.conj().T - exact, 2) / np.linalg.norm(exact, 2)
+    assert err <= _dual_error_bound(e, np.linalg.cond(e))
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_blocked_dual_inverts_only_leaf_blocks_by_lu(monkeypatch, lower):
+    system = complex_gen_system(512, 5)
+    if lower:
+        system = FrameSystem(system.matrix.T)
+    sizes = []
+    lu = np.linalg.inv
+
+    def counting(m):
+        sizes.append(m.shape[0])
+        return lu(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    dual = canonical_dual(system).matrix
+    assert max(sizes) <= frames._LEAF < 512 and sum(sizes) == 512
+    assert np.linalg.norm(dual.conj().T @ system.matrix - np.eye(512), 1) < 1e-13
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (299, 0), (299, 298), (130, 129), (200, 5)])
+@pytest.mark.parametrize("lower", [False, True])
+def test_one_entry_off_the_triangle_takes_the_lu(i, j, lower):
+    e = np.eye(300) + 0.4 * np.eye(300, k=1) + 0.1j * np.eye(300, k=7)
+    e[i, j] = 0.01
+    if lower:
+        e = e.T.copy()
+    assert frames._inverse(e).tobytes() == np.linalg.inv(e).tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_dual_of_a_dense_system_keeps_the_lu_bits(cplx):
+    rng = np.random.default_rng(8)
+    e = np.eye(200) + 0.05 * rng.standard_normal((200, 200))
+    if cplx:
+        e = e + 0.05j * rng.standard_normal((200, 200))
+    dual = canonical_dual(FrameSystem(e)).matrix
+    want = np.linalg.inv(e).conj().T
+    assert dual.dtype == want.dtype and dual.tobytes() == want.tobytes()
 
 
 @settings(max_examples=3, deadline=None)
