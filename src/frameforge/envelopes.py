@@ -168,7 +168,8 @@ def _ratio_form_where_nonfinite(out: np.ndarray, m, n, ratio_form) -> np.ndarray
     product of powers: once g1 log N passes ~709, n^g1 overflows and the
     product is inf, or inf * 0 = nan, though (n/m)^g1 <= 1 there.  Only
     those cells are recomputed in ratio form; every finite cell keeps its
-    bits.
+    bits.  ``poly_star`` passes (max, min) for (m, n), so that all of its
+    cells are in that branch.
     """
     m, n = np.broadcast_arrays(m, n)
     bad = (n <= m) & ~np.isfinite(out)
@@ -186,7 +187,12 @@ def envelope_value(env: DecayEnvelope, m, n):
     k = env.kind
     if k == "poly_star":
         lo, hi = np.minimum(m, n), np.maximum(m, n)
-        out = env.c * (1.0 + lo) ** env.gamma / (1.0 + hi) ** (2.0 * env.gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.asarray(env.c * (1.0 + lo) ** env.gamma / (1.0 + hi) ** (2.0 * env.gamma))
+        # every cell is the n <= m branch of (hi, lo): ((1+lo)/(1+hi))^g (1+hi)^-g
+        out = _ratio_form_where_nonfinite(
+            out, hi, lo, lambda hi, lo: env.c * ((1.0 + lo) / (1.0 + hi)) ** env.gamma * (1.0 + hi) ** -env.gamma
+        )
     elif k == "poly_dstar":
         out = env.c * (1.0 + np.abs(m - n)) ** (-env.gamma)
     elif k == "poly_tstar":
@@ -238,9 +244,29 @@ def _max_ratio(sub: np.ndarray, vals) -> float:
 
 
 def _distance_maxima(win: np.ndarray) -> np.ndarray:
-    """max |entry| of the square ``win`` at each distance d = |m-n|, one diagonal view at a time."""
-    k = win.shape[0]
-    return np.array([max(np.abs(win.diagonal(d)).max(), np.abs(win.diagonal(-d)).max()) for d in range(k)])
+    """max |entry| of the square ``win`` at each distance d = |m-n|, in one pass over blocks of rows.
+
+    Each block of b = ``_ROW_BLOCK`` rows writes its moduli into the middle
+    of a zero-padded (b, k + 2b) buffer.  Two skewed views of the buffer,
+    with a row stride one element longer, put diagonal d of the block in
+    column d: upper diagonals read to the right (column stride +1), lower
+    ones to the left (column stride -1), and cells past the window read the
+    zero padding.  Their column maxima are folded into the result; a
+    maximum is exact, so the order of the fold does not matter.
+    """
+    k, b = win.shape[0], _ROW_BLOCK
+    out = np.zeros(k)
+    buf = np.zeros((b, k + 2 * b))
+    step, item = buf.strides
+    for start in range(0, k, b):
+        rows = min(b, k - start)
+        np.abs(win[start : start + rows], out=buf[:rows, b : b + k])
+        origin = buf[0, b + start :]  # row r of a view starts at the block's diagonal cell (r, start + r)
+        upper = np.lib.stride_tricks.as_strided(origin, (rows, k - start), (step + item, item), writeable=False)
+        lower = np.lib.stride_tricks.as_strided(origin, (rows, start + rows), (step + item, -item), writeable=False)
+        np.maximum(out[: k - start], upper.max(axis=0), out=out[: k - start])
+        np.maximum(out[: start + rows], lower.max(axis=0), out=out[: start + rows])
+    return out
 
 
 _DISTANCE_KINDS = ("poly_dstar", "grdecay", "jaffard")
@@ -382,11 +408,11 @@ def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChai
     )
 
 
-# Every row-blocked pass (the scaled sums and row norms here; in ``frames``
-# the Schur bounds of the weighted norms, the example's trial vectors and the
-# decay sentinel's maximum) takes at most this many rows at a time, so its
-# block arrays stay small beside N x N (at N = 512 ``weighted_operator_norms``
-# peaks at 2.06 N^2 doubles, dual solve included).
+# Every row-blocked pass (the scaled sums, row norms and per-distance maxima
+# here; in ``frames`` the Schur bounds of the weighted norms, the example's
+# trial vectors and the decay sentinel's maximum) takes at most this many rows
+# at a time, so its block arrays stay small beside N x N (at N = 512
+# ``weighted_operator_norms`` peaks at 2.06 N^2 doubles, dual solve included).
 _ROW_BLOCK = 128
 
 

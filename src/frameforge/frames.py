@@ -16,7 +16,8 @@ error of order cond(E) eps; the normal equations in E^H E would square the
 condition number.  An upper triangular E, such as every perturbation of the
 identity I + sum_i a_i S^i, is inverted through
 [A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1], recursing on A and D down to
-blocks of at most ``_LEAF`` = 64 rows that go to LAPACK's LU; a lower
+blocks of at most ``_LEAF`` = 64 rows that go to LAPACK's LU, with the corner
+products cut to the rows and columns that hold B's non-zeros; a lower
 triangular E through its transpose.  Any other E takes the LU whole.  The
 inverse-decay check reads the same inverse.  The Gram matrix E^H E is
 formed for its eigenvalues (the frame bounds, and the rank rule wherever
@@ -242,6 +243,12 @@ def _invert_upper(u: np.ndarray, out: np.ndarray) -> None:
     ||X U - I|| keeps the order of the LU's (J. Du Croz and N. J. Higham,
     "Stability of methods for matrix inversion", IMA J. Numer. Anal. 12,
     1992).
+
+    The products run only over B's non-zeros: with r0 its first row that
+    holds one and c1 - 1 its last such column, the corner is
+    -(A^-1[:, r0:] B[r0:, :c1]) D^-1[:c1, :], and an all-zero B leaves it
+    zero.  A banded U of bandwidth w thus costs O(N^2 w); a dense B gives
+    r0 = 0 and c1 = n - h, the untrimmed products on the same views and bits.
     """
     n = u.shape[0]
     if n <= _LEAF:
@@ -250,8 +257,14 @@ def _invert_upper(u: np.ndarray, out: np.ndarray) -> None:
     h = n // 2
     _invert_upper(u[:h, :h], out[:h, :h])
     _invert_upper(u[h:, h:], out[h:, h:])
-    corner = out[:h, :h] @ u[:h, h:]
-    np.matmul(np.negative(corner, out=corner), out[h:, h:], out=out[:h, h:])
+    b = u[:h, h:]
+    nonzero = b != 0
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    if rows.size == 0:
+        return
+    r0, c1 = rows[0], cols[-1] + 1
+    corner = out[:h, r0:h] @ b[r0:, :c1]
+    np.matmul(np.negative(corner, out=corner), out[h : h + c1, h:], out=out[:h, h:])
 
 
 def _inverse(e: np.ndarray) -> np.ndarray:
@@ -845,8 +858,10 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     for start in range(0, e.n, _ROW_BLOCK):
         j = slice(start, start + _ROW_BLOCK)
         u = e.matrix.T[j].conj()  # the analysis of e_j is conj(column j of E), its synthesis row j of E
+        with np.errstate(over="ignore"):  # an image past the double range gives an infinite ratio
+            images = synthesis(e, u)
         # ||M e_j|| / ||e_j|| is the norm of the row |(M e_j)_i| e^{l_i - l_j}
-        ratios[:, j] = [_scaled_abs_row_norms(m, -log_w[j], -log_w, p) for m in (u, e.matrix[j], synthesis(e, u))]
+        ratios[:, j] = [_scaled_abs_row_norms(m, -log_w[j], -log_w, p) for m in (u, e.matrix[j], images)]
     # where rounding inverts a bracket that closes (p = 1), the proven end yields to the attained one
     norms = [(float(lo), max(hi, float(lo))) for lo, hi in zip(ratios.max(axis=1), _schur_bounds(e.matrix, log_w, p))]
     s_lo, s_hi = 1.0 / _schur_bounds(canonical_dual(e).matrix, log_w, p)[2], float(ratios[2].min())

@@ -267,6 +267,41 @@ def test_jaffard_rate_past_the_double_range_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "jaffard.json").exists()
 
 
+def test_report_star_constant_at_a_rate_past_the_double_range_is_inf(tmp_path):
+    # (1+m)^gamma / (1+n)^(2 gamma) was inf / inf: the star constant read "nan",
+    # with six RuntimeWarnings, where a non-zero entry over an underflowed envelope gives inf
+    cfg = write_config(tmp_path, "r.json", {"spec": SPEC, "n": 64, "gamma": 1e300, "levels": [0, 1, 2],
+                                            "trials": 50, "seed": 7})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 0
+    text = (tmp_path / "r" / "report.json").read_text()
+    step = json.loads(text)["steps"]["envelope_chain"]
+    assert step["status"] == "pass" and step["constants"] == {"star": "inf", "dstar": "inf", "tstar": "inf"}
+    assert "nan" not in text
+
+
+def test_report_on_a_huge_stored_matrix_fails_its_steps_without_warning(tmp_path):
+    # the unit-vector images of 1e200 I overflowed in synthesis with a RuntimeWarning;
+    # they read inf, and the weighted step fails on the Gram, as the others do
+    path = tmp_path / "big.csv"
+    save_matrix(path, TruncatedMatrix(1e200 * np.eye(64)))
+    cfg = write_config(tmp_path, "r.json", {"matrix": str(path), "levels": [0, 1], "p": 2, "seed": 1, "trials": 10,
+                                            "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 1
+    text = (tmp_path / "r" / "report.json").read_text()
+    steps = json.loads(text)["steps"]
+    assert steps.pop("envelope_chain")["status"] == "pass"
+    assert steps.pop("example_inequalities")["status"] == "skipped"
+    assert set(steps) == {"schur", "frame_bounds", "dual_biorthogonality", "expansion", "fframe", "weighted_norms"}
+    for step in steps.values():
+        assert step == {"status": "fail",
+                        "error": "the Gram matrix E^H E overflows the double range: matrix entries near 1e154 or larger"}
+    assert "nan" not in text
+
+
 def test_jaffard_on_a_tridiagonal_matrix_keeps_the_lu_inverse(tmp_path, monkeypatch):
     # A tridiagonal matrix is not triangular: its inverse is the LU's, so
     # jaffard.json has the bits of a run that calls np.linalg.inv directly.

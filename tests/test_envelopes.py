@@ -823,6 +823,74 @@ def test_membership_constant_of_steep_per_cell_kind_is_not_nan(kind):
 
 
 @settings(max_examples=200, deadline=None)
+@given(gamma=st.floats(min_value=1e-3, max_value=1e300), k=st.integers(1, 64))
+def test_steep_poly_star_stays_finite_and_keeps_finite_cells(gamma, k):
+    env = DecayEnvelope("poly_star", gamma=gamma, c=2.0)
+    mm, nn = np.meshgrid(np.arange(1.0, k + 1), np.arange(1.0, k + 1), indexing="ij")
+    lo, hi = np.minimum(mm, nn), np.maximum(mm, nn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = 2.0 * (1.0 + lo) ** gamma / (1.0 + hi) ** (2.0 * gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = envelope_value(env, mm, nn)
+    finite = np.isfinite(old)
+    np.testing.assert_array_equal(got[finite], old[finite])
+    ratio = 2.0 * ((1.0 + lo[~finite]) / (1.0 + hi[~finite])) ** gamma * (1.0 + hi[~finite]) ** -gamma
+    np.testing.assert_array_equal(got[~finite], ratio)
+    assert np.all((got >= 0.0) & (got <= 2.0))
+
+
+def test_implication_chain_at_a_rate_past_the_double_range_gives_inf_not_nan():
+    # (1+m)^1e300 / (1+n)^2e300 was inf / inf = nan, with RuntimeWarnings
+    m = np.eye(64) + 0.5 * np.eye(64, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_implication_chain(TruncatedMatrix(m), 1e300)
+        assert envelope_value(DecayEnvelope("poly_star", gamma=1e300), 3, 3) == 0.0
+    assert rep.star == rep.dstar == rep.tstar == math.inf
+
+
+def loop_distance_maxima(win):
+    """The per-diagonal loop that ``_distance_maxima`` replaced."""
+    k = win.shape[0]
+    return np.array([max(np.abs(win.diagonal(d)).max(), np.abs(win.diagonal(-d)).max()) for d in range(k)])
+
+
+_BLOCK_EDGES = [j * envelopes._ROW_BLOCK + s for j in (1, 2) for s in (-1, 0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.one_of(st.integers(1, 300), st.sampled_from(_BLOCK_EDGES)),
+    cplx=st.booleans(),
+    density=st.sampled_from([0.0, 0.005, 0.1, 1.0]),
+    strides=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    flip=st.booleans(),
+    transpose=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_distance_maxima_match_the_per_diagonal_loop(k, cplx, density, strides, flip, transpose, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = strides
+    shape = (k * rows + 3, k * cols + 3)
+    # moduli over many binades, subnormal and huge ones included, and -0.0 off the mask
+    big = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    if cplx:
+        big = big + 1j * rng.standard_normal(shape)
+    big[rng.random(shape) >= density] = -0.0
+    win = big[1 : 1 + k * rows : rows, 2 : 2 + k * cols : cols]
+    # numpy's complex modulus runs a scalar loop on negative strides, which can
+    # round an ulp away from its vector loop; no window of the library is reversed
+    if flip and not cplx:
+        win = win[::-1]
+    if transpose:
+        win = win.T
+    assert win.shape == (k, k)
+    got, want = envelopes._distance_maxima(win), loop_distance_maxima(win)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
 @given(a=_windowed_matrices(), beta=_orders, margin=st.one_of(st.none(), st.integers(0, 7)))
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_fits_match_per_diagonal_reference(a, beta, margin):

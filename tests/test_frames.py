@@ -923,6 +923,95 @@ def test_dual_of_a_dense_system_keeps_the_lu_bits(cplx):
     assert dual.dtype == want.dtype and dual.tobytes() == want.tobytes()
 
 
+def untrimmed_invert_upper(u, out):
+    """The blocked inverse with full h x h corner products, before they ran over B's non-zeros only."""
+    n = u.shape[0]
+    if n <= frames._LEAF:
+        out[...] = np.linalg.inv(u)
+        return
+    h = n // 2
+    untrimmed_invert_upper(u[:h, :h], out[:h, :h])
+    untrimmed_invert_upper(u[h:, h:], out[h:, h:])
+    corner = out[:h, :h] @ u[:h, h:]
+    np.matmul(np.negative(corner, out=corner), out[h:, h:], out=out[:h, h:])
+
+
+def trimmed_and_untrimmed_inverses(u):
+    got, want = np.zeros_like(u), np.zeros_like(u)
+    frames._invert_upper(u, got)
+    untrimmed_invert_upper(u, want)
+    return got, want
+
+
+def dense_upper(n, cplx, seed):
+    rng = np.random.default_rng(seed)
+    u = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+    if cplx:
+        u = u + 0.05j * rng.standard_normal((n, n))
+    return np.triu(u)
+
+
+@pytest.mark.parametrize("n", [65, 200, 1024])
+@pytest.mark.parametrize("kind", ["real", "complex", "shift"])
+def test_trimmed_inverse_keeps_the_bits_of_the_untrimmed_one(n, kind):
+    # a dense B is its own bounding box, so the same products run on the same
+    # views; each B of I + 0.5 S holds one non-zero, so each product has one term
+    u = np.eye(n) + 0.5 * np.eye(n, k=1) if kind == "shift" else dense_upper(n, kind == "complex", n)
+    got, want = trimmed_and_untrimmed_inverses(u)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_trimmed_inverse_of_a_block_diagonal_matrix_is_the_block_inverses(cplx):
+    n, h = 300, 150
+    u = dense_upper(n, cplx, 9)
+    u[:h, h:] = 0.0
+    got = np.zeros_like(u)
+    frames._invert_upper(u, got)
+    assert not got[:h, h:].any()
+    for block in (slice(0, h), slice(h, n)):
+        want = np.zeros_like(u[block, block])
+        untrimmed_invert_upper(u[block, block], want)
+        assert got[block, block].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_one_non_zero_in_the_top_right_cell_of_b_spans_the_whole_block(cplx):
+    n, h = 300, 150
+    u = dense_upper(n, cplx, 10)
+    u[:h, h:] = 0.0
+    u[0, n - 1] = 0.7
+    got, want = trimmed_and_untrimmed_inverses(u)
+    assert got.tobytes() == want.tobytes()
+    assert got[0, n - 1] != 0 and np.linalg.norm(got @ u - np.eye(n), 1) < 1e-13
+
+
+def band_back_substitution(e, width):
+    """E^{-1} of an upper triangular E with ``width`` superdiagonals, row by row in extended precision."""
+    n = e.shape[0]
+    ext = e.astype(np.clongdouble)
+    x = np.zeros((n, n), dtype=np.clongdouble)
+    for i in range(n - 1, -1, -1):
+        row = np.zeros(n, dtype=np.clongdouble)
+        row[i] = 1
+        for k in range(i + 1, min(i + width + 1, n)):
+            row -= ext[i, k] * x[k]
+        x[i] = row / ext[i, i]
+    return x
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double")
+def test_trimmed_dual_of_complex_gen_system_meets_the_error_bound():
+    # N = 1024 trims every corner of four levels of blocks to the band
+    system = complex_gen_system(1024, 6)
+    e = system.matrix
+    assert np.count_nonzero(e) == 3 * 1024 - 3
+    exact = band_back_substitution(e, width=2).astype(complex)
+    dual = canonical_dual(system).matrix
+    err = np.linalg.norm(dual.conj().T - exact, 2) / np.linalg.norm(exact, 2)
+    assert err <= _dual_error_bound(e, np.linalg.cond(e))
+
+
 @settings(max_examples=3, deadline=None)
 @given(log_sigma_min=st.floats(min_value=-6.0, max_value=-2.0), seed=st.integers(0, 2 ** 32 - 1))
 @example(log_sigma_min=-5.0, seed=5)
