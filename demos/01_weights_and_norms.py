@@ -33,7 +33,7 @@ for extent in (5, 10, 20, 40):
     log_ratio = np.abs(t + x) - np.abs(t) ** 0.5 - np.abs(x)
     print(f"  grid [-{extent},{extent}]^2  ->  C_emp = {np.exp(log_ratio.max()):.4g}")
 
-# Weighted norms: log-space evaluation keeps steep weights usable.
+# Weighted norms: a term past the double range is formed in log space, so steep weights stay usable.
 n = np.arange(1, 101, dtype=float)
 c = 1.0 / n ** 2
 print("\nnorms of c_n = 1/n^2, n <= 100:")

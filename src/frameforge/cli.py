@@ -106,9 +106,11 @@ def _load_config(path: str) -> dict:
 
 
 def _numbers(value) -> list:
-    """A list of finite numbers, each checked as ``_real`` checks one, returned as given because outputs echo its entries."""
+    """A non-empty list of finite numbers, each checked as ``_real`` checks one, returned as given because outputs echo its entries."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list of numbers, got {value!r}")
+    if not value:
+        raise ValueError("expected a non-empty list")
     for x in value:
         if not math.isfinite(_real(x)):
             raise ValueError(f"expected a finite number, got {x!r}")
@@ -122,6 +124,11 @@ def _integer(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _integers(value) -> list[int]:
+    """A non-empty list of integers, each read by ``_integer``, so that 64.0 is 64 and 2.5 is rejected."""
+    return [_integer(x) for x in _numbers(value)]
 
 
 def _real(value) -> float:
@@ -153,7 +160,7 @@ FIELDS = {
     "matrix": str, "spec": dict, "n": _integer, "margin": _integer, "seed": _integer, "label": str,
     "format": _one_of("csv", "binary"), "betas": _numbers, "p": _real, "beta": _real, "gamma": _real,
     "gamma_prime": _real, "gamma_dprime": _real, "eps_free": _real, "poly": _one_of(False, True),
-    "family": _one_of(*weights._FAMILIES), "levels": _numbers, "checkpoints": _numbers,
+    "family": _one_of(*weights._FAMILIES), "levels": _numbers, "checkpoints": _integers,
     "function": _test_function, "trials": _integer, "weight": dict,
 }
 
@@ -303,7 +310,8 @@ def step_expansion(inv: Invocation, f: TestFunction | None = None, checkpoints=N
     system = inv.system
     family, beta = inv.grading()
     levels = inv.get("levels")
-    checkpoints = checkpoints or sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
+    if checkpoints is None:
+        checkpoints = sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
     coeffs = project(inv.hermite, f or TestFunction.gaussian(3.0), system.n)
     curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
               for k in levels]

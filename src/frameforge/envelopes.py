@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammaincc, gammaln, zeta
 
-from .weights import _log_grading
+from .weights import _ROW_BLOCK, _log_grading, _scaled_abs_block
 
 __all__ = [
     "DecayEnvelope",
@@ -199,18 +199,20 @@ def envelope_value(env: DecayEnvelope, m, n):
         lo, hi = np.minimum(m, n), np.maximum(m, n)
         out = env.c * (lo / hi) ** env.gamma
     elif k == "colrow_poly":
-        out = np.where(
-            n > m,
-            env.c0 * n ** env.gamma0,
-            env.c1 * n ** env.gamma1 * m ** (-env.gamma1),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(
+                n > m,
+                env.c0 * n ** env.gamma0,
+                env.c1 * n ** env.gamma1 * m ** (-env.gamma1),
+            )
         out = _ratio_form_where_nonfinite(out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1)
     elif k == "eq_newdecay":
-        out = np.where(
-            n > m,
-            env.c0 * n ** (-1.0 - env.eps),
-            env.c1 * n ** env.gamma1 * m ** (-env.gamma1 - 1.0 - env.eps),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(
+                n > m,
+                env.c0 * n ** (-1.0 - env.eps),
+                env.c1 * n ** env.gamma1 * m ** (-env.gamma1 - 1.0 - env.eps),
+            )
         out = _ratio_form_where_nonfinite(
             out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1 * m ** (-1.0 - env.eps)
         )
@@ -320,7 +322,7 @@ def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> DecayFit:
     """Least-squares line y ~ intercept - gamma * x: the rate, e^intercept and the max residual.
 
     An intercept past log(DBL_MAX) ~ 709.78 gives c = +inf: a constant past
-    the double range is inf, as a norm is in ``weights._row_norms``.
+    the double range is inf, as a norm is in ``weights._scaled_abs_row_norms``.
     """
     design = np.column_stack([x, np.ones_like(x)])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -408,40 +410,6 @@ def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChai
     )
 
 
-# Every row-blocked pass (the scaled sums, row norms and per-distance maxima
-# here; in ``frames`` the Schur bounds of the weighted norms, the example's
-# trial vectors and the decay sentinel's maximum) takes at most this many rows
-# at a time, so its block arrays stay small beside N x N (at N = 512
-# ``weighted_operator_norms`` peaks at 2.06 N^2 doubles, dual solve included).
-_ROW_BLOCK = 128
-
-
-def _scaled_abs_block(m: np.ndarray, mod: np.ndarray, r: np.ndarray, c: np.ndarray, er: np.ndarray, ec: np.ndarray,
-                      reduce, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """B = |m_ij| e^{r_i} e^{-c_j} for a block of rows m with moduli ``mod``, and ``reduce(B, axis=1)``.
-
-    ``er`` and ``ec`` are e^r and e^-c, and B is written to ``out``, which
-    may be ``mod`` itself (default: a new array).  B is formed as the plain
-    product; a cell where that is not finite (a factor overflowed, or
-    inf * 0) is recomputed as exp(log|m_ij| + (r_i - c_j)), as in
-    ``_ratio_form_where_nonfinite``, so an entry past the double range is
-    inf.  The nearly cancelling r_i - c_j is taken first, so the cell is
-    within a few |log B_ij| eps relative, the error of exp at its own
-    argument, however large r_i and c_j are.  A non-finite cell makes its
-    row's sum or maximum non-finite, so cells are searched only when a
-    reduced value is, and then reduced again.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        block = np.multiply(mod, er[:, None], out=out)
-        block *= ec
-        reduced = reduce(block, axis=1)
-        if not np.isfinite(reduced).all():
-            i, j = np.nonzero(~np.isfinite(block))
-            block[i, j] = np.exp(np.log(np.abs(m[i, j])) + (r[i] - c[j]))
-            reduced = reduce(block, axis=1)
-    return block, reduced
-
-
 def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of B = |m_ij| e^{r_i - c_j}, formed in blocks of rows by ``_scaled_abs_block``.
 
@@ -458,39 +426,6 @@ def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.nd
         with np.errstate(over="ignore"):
             col_sums += block.sum(axis=0)
     return row_sums, col_sums
-
-
-def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float) -> np.ndarray:
-    """The l^p norm of each row of B = |m_ij| e^{r_i - c_j}, formed by ``_scaled_abs_block``.
-
-    A row with peak b reduces to b at p = inf, to its sum at p = 1 and to
-    b (sum_j (B_ij / b)^p)^(1/p) otherwise; a row with an entry past the
-    double range gives inf, and an all-zero row 0.  This is the product
-    form of ``weights._row_norms``, not its bits: within a few ulp of it
-    while the weights stay in the double range, and past it within a few
-    |log B_ij| eps relative (a cell recomputed in log form carries the
-    error of exp at its own argument).
-    """
-    if not (p == math.inf or p >= 1):
-        raise ValueError("p must be in [1, inf]")
-    with np.errstate(over="ignore"):
-        er, ec = np.exp(r), np.exp(-c)
-    out = np.empty(m.shape[0])
-    for start in range(0, m.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        mod = np.abs(m[rows])
-        block, peaks = _scaled_abs_block(m[rows], mod, r[rows], c, er[rows], ec, np.max, out=mod)
-        with np.errstate(over="ignore"):
-            if p == math.inf:
-                out[rows] = peaks
-            elif p == 1:
-                out[rows] = block.sum(axis=1)
-            else:
-                # a zero or infinite peak divides by 1, so the row yields 0 or inf, never nan
-                block /= np.where((peaks > 0.0) & (peaks < math.inf), peaks, 1.0)[:, None]
-                block **= p
-                out[rows] = peaks * block.sum(axis=1) ** (1.0 / p)
-    return out
 
 
 def _schur(row_sums: np.ndarray, col_sums: np.ndarray, p: float) -> float:

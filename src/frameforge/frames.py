@@ -41,13 +41,10 @@ from functools import cached_property
 import numpy as np
 
 from .envelopes import (
-    _ROW_BLOCK,
     DecayEnvelope,
     DecayFit,
     InsufficientDecayData,
     TruncatedMatrix,
-    _scaled_abs_block,
-    _scaled_abs_row_norms,
     _scaled_abs_sums,
     _schur,
     envelope_value,
@@ -56,7 +53,15 @@ from .envelopes import (
     membership_constant,
     p_series,
 )
-from .weights import Weight, _to_json_list, as_sequence, log_eval_weight
+from .weights import (
+    _ROW_BLOCK,
+    Weight,
+    _scaled_abs_block,
+    _scaled_abs_row_norms,
+    _to_json_list,
+    as_sequence,
+    log_eval_weight,
+)
 
 __all__ = [
     "DualLocalizationReport",
@@ -842,7 +847,7 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     operator of the canonical dual: it runs from 1 / (the dual's Schur
     bound) up to the least unit-vector ratio of S.  Both ends read the
     same scaled moduli |m_ij| e^{l_i - l_j}, l = log w, formed in blocks of
-    rows (``envelopes._scaled_abs_block``): a ratio is the l^p norm of one
+    rows (``weights._scaled_abs_block``): a ratio is the l^p norm of one
     row of them, and the Schur bounds sum them.  The ratios are attained
     values, computed in product form: within a few ulp while the weights
     stay in the double range, past it within a few |log B_ij| eps relative

@@ -5,9 +5,10 @@ The two norm families are
 * ``poly``:   ||f||_k = l2 norm of (c_n * n^k)
 * ``subexp``: ||f||_k = l2 norm of (c_n * e^{k n^beta})
 
-indexed by a grading level k >= 0.  They are computed by the one norm
-kernel of ``weights``, in log space with an exactly rounded power sum, so
-a level norm overflows only when its true value does.  Membership of an
+indexed by a grading level k >= 0.  They are computed by the one row-norm
+kernel of ``weights``, on the products |c_n| e^{l_n} of the level-k log
+grading l (a product past the double range is formed in log form), so a
+level norm overflows only when its true value does.  Membership of an
 object in the full projective limit cannot be certified from finite data;
 the honest proxy used throughout is stability of these norms across
 levels and under doubling the truncation.

@@ -32,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelopes import _ROW_BLOCK, TruncatedMatrix
+from .envelopes import TruncatedMatrix
 from .frames import FrameSystem, PerturbationSpec
-from .weights import _from_json_list
+from .weights import _ROW_BLOCK, _from_json_list
 
 __all__ = [
     "load_frame_system",

@@ -5,12 +5,15 @@ position ``i`` of an array holds the value at index ``n = i + 1``.  All
 weight evaluation goes through log space so that sub-exponential and
 exponential weights stay usable far past the overflow point of ``exp``.
 
-Every weighted and graded sequence norm goes through one kernel: log weights
-are added to ``log|c_n|``, the terms scaled by the largest, and the power
-sums of a block of rows correctly rounded in one vectorized pass
-(``_exact_row_sums``; ``math.fsum`` sums only the rows it cannot certify).
-The graded weights n^k (family ``poly``) and e^{k n^beta} (``subexp``)
-are written once, in ``_log_grading``.
+Every weighted and graded sequence norm goes through one kernel,
+``_scaled_abs_row_norms``: the l^p norm of each row of the scaled moduli
+|m_ij| e^{r_i - c_j}, formed as a plain product and summed after scaling
+each row by its largest term.  A norm c -> (sum |c_n|^p e^{p l_n})^(1/p)
+is the row norm at r = 0 and c = -l, within 4 eps (1 + max l_n) relative
+of the exact value while e^{l_n} stays in the double range; a cell past
+it is recomputed in log form, so a norm overflows only when the true norm
+does.  The graded weights n^k (family ``poly``) and e^{k n^beta}
+(``subexp``) are written once, in ``_log_grading``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
 
 _KINDS = ("moderate", "subexponential", "exponential")
 _FAMILIES = ("poly", "subexp")
-_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -163,111 +165,101 @@ def _log_grading(n, family: str, k: float, beta: float = 1.0) -> np.ndarray:
     return k * n ** beta
 
 
+# Every row-blocked pass (the row norms here; in ``envelopes`` the scaled sums
+# and per-distance maxima; in ``frames`` the Schur bounds of the weighted norms,
+# the example's trial vectors and the decay sentinel's maximum; in ``matio`` the
+# CSV reader) takes at most this many rows at a time, so its block arrays stay
+# small beside N x N (at N = 512 ``weighted_operator_norms`` peaks at 2.06 N^2
+# doubles, dual solve included).
+_ROW_BLOCK = 128
+
+
+def _scaled_abs_block(m: np.ndarray, mod: np.ndarray, r: np.ndarray, c: np.ndarray, er: np.ndarray, ec: np.ndarray,
+                      reduce, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """B = |m_ij| e^{r_i} e^{-c_j} for a block of rows m with moduli ``mod``, and ``reduce(B, axis=1)``.
+
+    ``er`` and ``ec`` are e^r and e^-c, and B is written to ``out``, which
+    may be ``mod`` itself (default: a new array).  B is formed as the plain
+    product; a cell where that is not finite (a factor overflowed, or
+    inf * 0) is recomputed as exp(log|m_ij| + (r_i - c_j)), so an entry
+    past the double range is inf.  The nearly cancelling r_i - c_j is taken
+    first, so the cell is within a few |log B_ij| eps relative, the error
+    of exp at its own argument, however large r_i and c_j are.  A
+    non-finite cell makes its row's sum or maximum non-finite, so cells are
+    searched only when a reduced value is, and then reduced again.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        block = np.multiply(mod, er[:, None], out=out)
+        block *= ec
+        reduced = reduce(block, axis=1)
+        if not np.isfinite(reduced).all():
+            i, j = np.nonzero(~np.isfinite(block))
+            block[i, j] = np.exp(np.log(np.abs(m[i, j])) + (r[i] - c[j]))
+            reduced = reduce(block, axis=1)
+    return block, reduced
+
+
+def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float) -> np.ndarray:
+    """The l^p norm of each row of B = |m_ij| e^{r_i - c_j}, formed by ``_scaled_abs_block``.
+
+    A row with peak b reduces to b at p = inf, to its sum at p = 1 and to
+    b (sum_j (B_ij / b)^p)^(1/p) otherwise; a row with an entry past the
+    double range gives inf, an all-zero row 0, and a block with no columns
+    zeros (p is checked first).  Every step is elementwise or a reduction
+    along one row, so a row's value does not depend on the other rows of
+    its block.  While e^{r_i} and e^{-c_j} stay in the double range the
+    value is within 4 eps (1 + |r_i| + max_j |c_j|) relative, the error of
+    exp at the scales; past it within a few |log B_ij| eps relative (a
+    cell recomputed in log form carries the error of exp at its own
+    argument).  A cell in the subnormal range is off by up to half its
+    spacing, 2^-1075, besides.
+    """
+    if not (p == math.inf or p >= 1):
+        raise ValueError("p must be in [1, inf]")
+    out = np.zeros(m.shape[0])
+    if m.shape[1] == 0:
+        return out
+    with np.errstate(over="ignore"):
+        er, ec = np.exp(r), np.exp(-c)
+    for start in range(0, m.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        mod = np.abs(m[rows], dtype=float)
+        block, peaks = _scaled_abs_block(m[rows], mod, r[rows], c, er[rows], ec, np.max, out=mod)
+        with np.errstate(over="ignore"):
+            if p == math.inf:
+                out[rows] = peaks
+            elif p == 1:
+                out[rows] = block.sum(axis=1)
+            else:
+                # a zero or infinite peak divides by 1, so the row yields 0 or inf, never nan
+                block /= np.where((peaks > 0.0) & (peaks < math.inf), peaks, 1.0)[:, None]
+                block **= p
+                out[rows] = peaks * block.sum(axis=1) ** (1.0 / p)
+    return out
+
+
 def weighted_norm(c, w: Weight, p: float) -> float:
     """The l^p_mu norm ``(sum |c_n|^p mu(n)^p)^(1/p)`` over n = 1..N.
 
-    ``p = inf`` gives ``sup |c_n| mu(n)``.  Terms are formed in log space
-    and, after scaling by the largest term, summed with correct rounding
-    (the bits of ``math.fsum``), so the result overflows only when the
-    true norm does.  This is the one-row case of ``weighted_row_norms``.
+    ``p = inf`` gives ``sup |c_n| mu(n)``.  Terms are the products
+    |c_n| mu(n), summed after scaling by the largest, so the result
+    overflows only when the true norm does.  This is the one-row case of
+    ``weighted_row_norms``.
     """
     return float(weighted_row_norms(as_sequence(c)[None, :], w, p)[0])
 
 
 def weighted_row_norms(rows, w: Weight, p: float) -> np.ndarray:
-    """``weighted_norm`` of each row of a 2-D array, one value per row.
-
-    A row's value does not depend on the other rows in the block: the
-    elementwise steps and the correctly rounded power sums
-    (``_exact_row_sums``) run on the whole block, and the final
-    ``exp``/``log`` take the scalar path row by row.
-    """
+    """``weighted_norm`` of each row of a 2-D array, one value per row; a row's value does not depend on the others."""
     rows = as_sequence(rows, ndim=2)
     n = np.arange(1, rows.shape[1] + 1, dtype=float)
-    return _row_norms(rows, log_eval_weight(w, n), p)
+    return _scaled_abs_row_norms(rows, np.zeros(rows.shape[0]), -log_eval_weight(w, n), p)
 
 
 def _graded_row_norms(rows: np.ndarray, family: str, k: float, beta: float, p: float) -> np.ndarray:
     """The level-k graded l^p norm of each row of a validated 2-D block."""
     n = np.arange(1, rows.shape[1] + 1, dtype=float)
-    return _row_norms(rows, _log_grading(n, family, k, beta), p)
-
-
-def _row_norms(rows: np.ndarray, log_weights: np.ndarray, p: float) -> np.ndarray:
-    """``(sum_n |c_n|^p e^{p l_n})^(1/p)`` of each row c, for log weights l; p = inf gives the sup.
-
-    Overflow is ignored: a true norm past the double range is inf.
-    """
-    if not (p == math.inf or p >= 1):
-        raise ValueError("p must be in [1, inf]")
-    out = np.zeros(rows.shape[0])
-    if rows.shape[1] == 0:
-        return out
-    logs = _log_abs(rows) + log_weights
-    peaks = np.max(logs, axis=1)
-    if p != math.inf:
-        # an all-zero row is shifted by 0, not by -inf, so its terms are 0, not NaN
-        shift = np.where(peaks == -math.inf, 0.0, peaks)
-        sums = _exact_row_sums(np.exp(p * (logs - shift[:, None])))
-    with np.errstate(over="ignore"):
-        for i, m in enumerate(peaks):
-            if m == -math.inf:
-                continue
-            if p == math.inf:
-                out[i] = np.exp(m)
-            else:
-                out[i] = np.exp(m + math.log(sums[i]) / p)
-    return out
-
-
-def _two_sum(a, b):
-    """``s = fl(a + b)`` and its rounding error ``e``, so that ``a + b = s + e`` exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
-    """The correctly rounded sum of each row of a 2-D block of finite, non-negative terms.
-
-    The block is folded in contiguous halves with an exact TwoSum at each
-    level (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005); an odd
-    last column is folded into column 0.  For the final column ``hi`` and
-    the error terms ``e`` of a row, ``sum(row) = hi + sum(e)`` holds
-    exactly.  The ``e`` are summed in floating point into ``err`` and their
-    magnitudes into ``mag``; over the m = width - 1 error terms of a row,
-    ``err`` is off by at most gamma_m sum|e| <= ``bound = 2 (m+1) u mag``
-    (u = 2^-53; Higham).  With ``res, tail = TwoSum(hi, err)`` the exact sum
-    lies within ``|tail| + bound`` of ``res``, so ``res`` is the correctly
-    rounded sum when that distance is below half the spacing of the doubles
-    at ``res``, or a quarter at a power of two, whose lower neighbour is
-    twice as close.  A correctly rounded sum is unique, so a certified row
-    has the bits ``math.fsum`` returns.  Every row the certificate does not
-    cover (a tie or near-tie) is summed by ``math.fsum`` itself.
-    """
-    rows, width = terms.shape
-    if width == 0:
-        return np.zeros(rows)
-    err = np.zeros(rows)
-    mag = np.zeros(rows)
-    hi = terms
-    while hi.shape[1] > 1:
-        h = hi.shape[1] // 2
-        last = hi[:, 2 * h:]
-        hi, e = _two_sum(hi[:, :h], hi[:, h:2 * h])
-        err += e.sum(axis=1)
-        mag += np.abs(e).sum(axis=1)
-        if last.shape[1]:
-            hi[:, 0], e = _two_sum(hi[:, 0], last[:, 0])
-            err += e
-            mag += np.abs(e)
-    res, tail = _two_sum(hi[:, 0], err)
-    slack = np.abs(tail) + 2.0 * width * _UNIT_ROUNDOFF * mag
-    # 2 slack < spacing and 4 slack < spacing scale exactly; a NaN compares false
-    certified = np.where(np.frexp(res)[0] == 0.5, 4.0, 2.0) * slack < np.spacing(res)
-    for i in np.flatnonzero(~certified):
-        res[i] = math.fsum(terms[i].tolist())
-    return res
+    return _scaled_abs_row_norms(rows, np.zeros(rows.shape[0]), -_log_grading(n, family, k, beta), p)
 
 
 def sup_graded_norm(c, family: str, k: float, beta: float = 1.0) -> float:

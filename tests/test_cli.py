@@ -492,6 +492,13 @@ def test_expand_command(tmp_path):
     assert expanded == (tmp_path / "r" / "expansion.csv").read_bytes()
 
 
+def test_integral_float_checkpoints_write_integers(tmp_path):
+    cfg = write_config(tmp_path, "e.json", {"spec": SPEC, "n": 32, "levels": [0], "checkpoints": [16.0, 32]})
+    assert main(["expand", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "expansion.csv").read_text().strip().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["M", "16", "32"]
+
+
 def test_fframe_command_needs_no_seed(tmp_path):
     base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "levels": [0, 1], "trials": 5}
     cfg = write_config(tmp_path, "f.json", base)
@@ -781,6 +788,13 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
         ("report", dict(SMALL_REPORT, levels=[math.inf])),
         ("report", dict(SMALL_REPORT, betas=[math.nan])),
         ("fit", {"matrix": "MATRIX", "betas": [1.0, -math.inf]}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": [0], "checkpoints": []}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": [0], "checkpoints": [2.5, 32]}),
+        ("expand", {"spec": SPEC, "n": 32, "levels": []}),
+        ("fframe", {"spec": SPEC, "n": 32, "levels": []}),
+        ("report", dict(SMALL_REPORT, levels=[])),
+        ("report", dict(SMALL_REPORT, checkpoints=[16.5])),
+        ("fit", {"matrix": "MATRIX", "betas": []}),
     ],
 )
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frameforge import envelopes, frames
+from frameforge import envelopes, frames, weights
 from frameforge.envelopes import (
     DecayEnvelope,
     InsufficientDecayData,
@@ -342,7 +342,7 @@ def _scaled_rows(draw):
 def test_scaled_abs_row_norms_match_the_weighted_norms_of_the_scaled_rows(case, p):
     m, r, w = case
     c = -log_eval_weight(w, np.arange(1, m.shape[1] + 1, dtype=float))
-    got = envelopes._scaled_abs_row_norms(m, r, c, p)
+    got = weights._scaled_abs_row_norms(m, r, c, p)
     ref = weighted_row_norms(m * np.exp(r)[:, None], w, p)
     assert np.array_equal(np.isinf(got), np.isinf(ref))
     finite = np.isfinite(ref)
@@ -361,7 +361,7 @@ def test_scaled_abs_row_norms_past_the_double_range_against_mpmath(p):
     m = (np.eye(n) + np.diag(rng.uniform(-0.4, 0.4, n - 1), 1) + np.diag(rng.uniform(-0.3, 0.3, n - 1), -1)
          + np.diag(rng.uniform(-0.2, 0.2, n - 2), 2))
     l = log_eval_weight(Weight("moderate", k=2000.0), np.arange(1, n + 1, dtype=float))
-    got = envelopes._scaled_abs_row_norms(m, -l, -l, p)
+    got = weights._scaled_abs_row_norms(m, -l, -l, p)
     checked = 0
     with mp.workdps(40):
         for i in range(n):
@@ -820,6 +820,23 @@ def test_membership_constant_of_steep_per_cell_kind_is_not_nan(kind):
         constant = membership_constant(diagonal, env)
     last = float(diagonal.window_indices()[-1])  # the diagonal envelope n^(-1-eps) is least there
     assert constant == (0.5 if kind == "colrow_poly" else 0.5 / last ** (-1.0 - env.eps))
+
+
+@pytest.mark.parametrize("kind", ["colrow_poly", "eq_newdecay"])
+def test_steep_per_cell_kind_raises_no_warning(kind):
+    # 48^270 overflows in the product form before the ratio form repairs the cell
+    env = DecayEnvelope(kind, gamma1=270.0)
+    mm, nn = np.meshgrid(np.arange(1.0, 49.0), np.arange(1.0, 49.0), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = product_form(env, mm, nn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = envelope_value(env, mm, nn)
+        constant = membership_constant(TruncatedMatrix(0.5 * np.eye(48)), env)
+    finite = np.isfinite(old)
+    assert not finite.all() and np.all(np.isfinite(got))
+    assert got[finite].tobytes() == old[finite].tobytes()
+    assert math.isfinite(constant) and constant > 0.0
 
 
 @settings(max_examples=200, deadline=None)

@@ -128,6 +128,28 @@ def test_graded_norms_match_mpmath(c, family, k, beta):
     assert abs(sup_graded_norm(c, family, k, beta) - want_sup) <= unit * want_sup
 
 
+@settings(max_examples=300, deadline=None)
+@example(c=np.array([1e-300]), family="poly", k=0.0, beta=1.0)
+@example(c=np.r_[np.zeros(36), math.exp(-11.3 * 37 ** 0.9)], family="subexp", k=11.3, beta=0.9)
+@given(
+    c=st.lists(st.tuples(_magnitudes, st.booleans()), min_size=1, max_size=40).map(
+        lambda xs: np.array([-m if neg else m for m, neg in xs])
+    ),
+    family=st.sampled_from(["poly", "subexp"]),
+    k=st.floats(0.0, 12.0),
+    beta=st.floats(0.05, 1.0),
+)
+def test_graded_norms_match_mpmath_within_the_error_of_the_weights(c, family, k, beta):
+    # the product |c_n| e^{l_n} carries only the error of exp at the log weight
+    # l_n, not that of log|c_n|: the bound has no |log|c_n|| term
+    want_l2, want_sup = _mp_graded_norms(c, family, k, beta)
+    assume(want_l2 < 1e300)
+    l = _log_grading(np.arange(1, c.size + 1, dtype=float), family, k, beta)
+    unit = 4 * np.finfo(float).eps * (1.0 + np.max(l[c != 0.0], initial=0.0))
+    assert abs(graded_level_norm(c, family, k, beta) - want_l2) <= unit * want_l2
+    assert abs(sup_graded_norm(c, family, k, beta) - want_sup) <= unit * want_sup
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         graded_profile(np.ones(4), "poly", levels=[2, 1])
