@@ -299,20 +299,25 @@ def step_example_inequalities(inv: Invocation) -> dict:
                    lower_min=rep.lower_min)
 
 
-def step_expansion(inv: Invocation, f: TestFunction | None = None, checkpoints=None) -> dict:
-    """Expansion error curves of ``f``, one per level, as the ``rows`` of ``expansion.csv``.
+def step_expansion(inv: Invocation) -> dict:
+    """Expansion error curves of the config's ``function``, one per level, as the ``rows`` of ``expansion.csv``.
 
-    ``f`` defaults to exp(-3x^2/2).  A curve passes when it is non-increasing
-    and, if its last checkpoint is N, ends below 1e-8 (finite-rank exactness).
-    The caller writes the rows with ``_write_expansion``, which takes them
-    out of the result, after any later step that may reject the config.
+    ``function`` defaults to exp(-3x^2/2) and ``checkpoints`` to N/32, ...,
+    N/2, N (at least 4); checkpoints that are not sorted within 1..N are
+    invalid input.  A curve passes when it is non-increasing and, if its
+    last checkpoint is N, ends below 1e-8 (finite-rank exactness).  The
+    caller writes the rows with ``_write_expansion``, which takes them out
+    of the result, after any later step that may reject the config.
     """
     system = inv.system
     family, beta = inv.grading()
     levels = inv.get("levels")
+    checkpoints = inv.get("checkpoints", None)
     if checkpoints is None:
         checkpoints = sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
-    coeffs = project(inv.hermite, f or TestFunction.gaussian(3.0), system.n)
+    elif checkpoints != sorted(checkpoints) or not 1 <= checkpoints[0] <= checkpoints[-1] <= system.n:
+        raise InvalidInput(f"checkpoints must be sorted within 1..{system.n}")
+    coeffs = project(inv.hermite, inv.get("function", TestFunction.gaussian(3.0)), system.n)
     curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
               for k in levels]
     rows = [[m, k, repr(float(err))] for k, errs in curves for m, err in zip(checkpoints, errs)]
@@ -416,8 +421,7 @@ def cmd_dual(inv: Invocation) -> None:
 
 
 def cmd_expand(inv: Invocation) -> None:
-    f = inv.get("function", None)
-    step = step_expansion(inv, f, inv.get("checkpoints", None))
+    step = step_expansion(inv)
     print(f"wrote {_write_expansion(inv, step)}")
     if step["status"] != "pass":
         raise VerificationFailure("expansion errors grew, or the full expansion failed to reproduce the input")

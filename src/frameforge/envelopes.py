@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammaincc, gammaln, zeta
 
 from .weights import _ROW_BLOCK, _log_grading, _scaled_abs_block
 
@@ -161,18 +159,19 @@ class DecayEnvelope:
         return dataclasses.replace(self, c=1.0, c0=1.0, c1=1.0)
 
 
-def _ratio_form_where_nonfinite(out: np.ndarray, m, n, ratio_form) -> np.ndarray:
-    """Re-evaluate the non-finite cells of the n <= m branch of ``out`` with ``ratio_form``.
+def _ratio_form_where_lost(out: np.ndarray, m, n, ratio_form) -> np.ndarray:
+    """Re-evaluate the cells of the n <= m branch of ``out`` that are 0 or non-finite with ``ratio_form``.
 
     That branch is c1 n^g1 m^-g1 (times a power of m), evaluated as a
     product of powers: once g1 log N passes ~709, n^g1 overflows and the
-    product is inf, or inf * 0 = nan, though (n/m)^g1 <= 1 there.  Only
-    those cells are recomputed in ratio form; every finite cell keeps its
-    bits.  ``poly_star`` passes (max, min) for (m, n), so that all of its
-    cells are in that branch.
+    product is inf, or inf * 0 = nan, though (n/m)^g1 <= 1 there; and
+    m^-g1 underflows to 0 where the ratio form is still a representable
+    double.  Only those cells are recomputed in ratio form; every finite
+    non-zero cell keeps its bits.  ``poly_star`` passes (max, min) for
+    (m, n), so that all of its cells are in that branch.
     """
     m, n = np.broadcast_arrays(m, n)
-    bad = (n <= m) & ~np.isfinite(out)
+    bad = (n <= m) & ((out == 0.0) | ~np.isfinite(out))
     if np.any(bad):
         out[bad] = ratio_form(m[bad], n[bad])
     return out
@@ -190,7 +189,7 @@ def envelope_value(env: DecayEnvelope, m, n):
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.asarray(env.c * (1.0 + lo) ** env.gamma / (1.0 + hi) ** (2.0 * env.gamma))
         # every cell is the n <= m branch of (hi, lo): ((1+lo)/(1+hi))^g (1+hi)^-g
-        out = _ratio_form_where_nonfinite(
+        out = _ratio_form_where_lost(
             out, hi, lo, lambda hi, lo: env.c * ((1.0 + lo) / (1.0 + hi)) ** env.gamma * (1.0 + hi) ** -env.gamma
         )
     elif k == "poly_dstar":
@@ -205,7 +204,7 @@ def envelope_value(env: DecayEnvelope, m, n):
                 env.c0 * n ** env.gamma0,
                 env.c1 * n ** env.gamma1 * m ** (-env.gamma1),
             )
-        out = _ratio_form_where_nonfinite(out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1)
+        out = _ratio_form_where_lost(out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1)
     elif k == "eq_newdecay":
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.where(
@@ -213,7 +212,7 @@ def envelope_value(env: DecayEnvelope, m, n):
                 env.c0 * n ** (-1.0 - env.eps),
                 env.c1 * n ** env.gamma1 * m ** (-env.gamma1 - 1.0 - env.eps),
             )
-        out = _ratio_form_where_nonfinite(
+        out = _ratio_form_where_lost(
             out, m, n, lambda m, n: env.c1 * (n / m) ** env.gamma1 * m ** (-1.0 - env.eps)
         )
     elif k == "grdecay":
@@ -455,6 +454,9 @@ def _subexp_tail_integral(gamma: float, beta: float, j: float) -> float:
     Q(s, x) that underflows to 0 needs x past about 700 and far beyond s,
     where the integral is below about 1e-290, and gives 0.
     """
+    # imported on use: scipy.special takes longer to import than most subcommands run
+    from scipy.special import gamma as _gamma_fn, gammaincc, gammaln
+
     s = 1.0 / beta
     q = gammaincc(s, gamma * j ** beta)
     log_scale = s * math.log(gamma)
@@ -522,6 +524,9 @@ def poly_series(s: float) -> float:
     """Sum of n^(-s) over n >= 1 (requires s > 1)."""
     if s <= 1:
         raise ValueError("polynomial series needs exponent > 1")
+    # imported on use: scipy.special takes longer to import than most subcommands run
+    from scipy.special import zeta
+
     return float(zeta(s, 1))
 
 

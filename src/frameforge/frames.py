@@ -722,6 +722,9 @@ def jaffard_predict(
         raise ValueError("gamma_prime must lie in (0, gamma)")
     if not 0.0 < gpp < gp:
         raise ValueError("gamma_dprime must lie in (0, gamma_prime)")
+    # depends on the rates alone: a bad rate fails before the O(N^3) work, and
+    # scipy.special loads before the N x N arrays are live
+    p_split = p_series(gp - gpp, beta)
 
     aas = _gram_product(a.entries, a.entries.conj().T, "AA*")
     lam = np.linalg.eigvalsh(aas)
@@ -739,7 +742,6 @@ def jaffard_predict(
         TruncatedMatrix(aas, margin=a.margin), DecayEnvelope("jaffard", gamma=gp, beta=beta)
     )
     c1 = 1.0 + c_aas / norm_aas
-    p_split = p_series(gp - gpp, beta)
     k_split = 2.0 * c1 * p_split
     if k_split <= r:
         raise ValueError("degenerate log ratio: K <= r")

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .envelopes import UNDERFLOW_FLOOR, _log_linear_fit
 from .weights import _from_json_list, _log_grading, _to_json_list, as_sequence
@@ -98,6 +97,9 @@ class HermiteContext:
         q = 2 * nmax + 8 if quad_order is None else int(quad_order)
         if q < 2 * nmax:
             raise ValueError("quadrature order must be at least 2*nmax")
+        # imported on use: scipy.special takes longer to import than most subcommands run
+        from scipy.special import roots_hermite
+
         nodes = roots_hermite(q)[0]
         # Only degrees 0..nmax-1 (the basis) and q-1 (the weights) are kept.
         table = _hermite_columns([*range(nmax), q - 1], nodes)

@@ -833,3 +833,60 @@ def test_report_byte_identical_under_one_and_two_blas_threads(tmp_path):
         subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_report_reads_checkpoints_and_function(tmp_path):
+    payload = dict(SMALL_REPORT, checkpoints=[8, 16])
+    cfg = write_config(tmp_path, "r.json", payload)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 0
+    rows = (tmp_path / "r" / "expansion.csv").read_text().strip().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["M", "8", "16"]
+    # report's expansion step and expand write the same rows for the same function
+    payload["function"] = {"kind": "gaussian", "a": 1.0}
+    cfg = write_config(tmp_path, "f.json", payload)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "f"), "--no-timestamp"]) == 0
+    assert main(["expand", "--config", cfg, "--out", str(tmp_path / "e")]) == 0
+    written = (tmp_path / "f" / "expansion.csv").read_bytes()
+    assert written == (tmp_path / "e" / "expansion.csv").read_bytes()
+    assert written != (tmp_path / "r" / "expansion.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["report", "expand"])
+@pytest.mark.parametrize("checkpoints", [[0, 16], [8, 999], [16, 8]])
+def test_checkpoints_outside_the_system_exit_2_and_write_nothing(tmp_path, capsys, command, checkpoints):
+    cfg = write_config(tmp_path, "bad.json", dict(SMALL_REPORT, checkpoints=checkpoints))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 2
+    assert "checkpoints must be sorted within 1..32" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+# Runs the (command, config) pairs of argv[1] in a fresh interpreter and
+# checks whether scipy.special is loaded afterwards, as argv[3] says.
+STARTUP_CHILD = """
+import json, sys
+from frameforge import cli
+runs, out, loaded = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3] == "loaded"
+codes = [cli.main([command, "--config", cfg, "--out", out]) for command, cfg in runs]
+assert codes == [0] * len(runs), codes
+assert ("scipy.special" in sys.modules) == loaded, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+
+def test_subcommands_load_scipy_special_only_where_they_call_it(tmp_path):
+    # importing scipy.special takes longer than gen and dual at N=1024 take
+    # for their own work; only expand, jaffard and report call into it
+    spec = write_config(tmp_path, "spec.json", {"spec": SPEC, "n": 32, "seed": 1, "levels": [0, 1]})
+    matrix = jaffard_csv(tmp_path, 32, 0.7)
+    stored = write_config(tmp_path, "m.json", {"matrix": matrix, "beta": 1.0, "gamma": 0.7})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    children = [
+        ([], "absent"),
+        ([("gen", spec), ("dual", spec), ("fit", stored), ("schur", stored), ("fframe", spec)], "absent"),
+        ([("jaffard", stored), ("expand", spec)], "loaded"),
+    ]
+    for runs, loaded in children:
+        argv = [sys.executable, "-c", STARTUP_CHILD, json.dumps(runs), str(tmp_path / "out"), loaded]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

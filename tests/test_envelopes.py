@@ -801,24 +801,34 @@ def test_steep_per_cell_kinds_stay_finite_and_keep_finite_cells(kind, gamma1, ga
     with np.errstate(over="ignore", invalid="ignore"):
         old = product_form(env, mm, nn)
         got = envelope_value(env, mm, nn)
-    finite = np.isfinite(old)
-    np.testing.assert_array_equal(got[finite], old[finite])
+    # the product form loses a cell of the n <= m branch to overflow (inf, nan) or underflow (0)
+    lost = (nn <= mm) & ((old == 0.0) | ~np.isfinite(old))
+    np.testing.assert_array_equal(got[~lost], old[~lost])
     assert np.all(np.isfinite(got))
-    m, n = mm[~finite], nn[~finite]
+    m, n = mm[lost], nn[lost]
     ratio = c1 * (n / m) ** gamma1 * (1.0 if kind == "colrow_poly" else m ** (-1.0 - eps))
-    np.testing.assert_array_equal(got[~finite], ratio)
+    np.testing.assert_array_equal(got[lost], ratio)
 
 
 @pytest.mark.parametrize("kind", ["colrow_poly", "eq_newdecay"])
 def test_membership_constant_of_steep_per_cell_kind_is_not_nan(kind):
     # gamma1 = 270 puts 48^gamma1 past the double range: the product form gave inf * 0 = nan
     env = DecayEnvelope(kind, gamma1=270.0)
+    full = TruncatedMatrix(np.full((48, 48), 0.5))
     with np.errstate(over="ignore", invalid="ignore"):
         # a non-zero entry over an envelope that underflows to 0 needs an infinite constant
-        assert membership_constant(TruncatedMatrix(np.full((48, 48), 0.5)), env) == math.inf
+        assert membership_constant(full, dataclasses.replace(env, gamma1=1000.0)) == math.inf
+        constant_full = membership_constant(full, env)
         diagonal = TruncatedMatrix(0.5 * np.eye(48))
         constant = membership_constant(diagonal, env)
-    last = float(diagonal.window_indices()[-1])  # the diagonal envelope n^(-1-eps) is least there
+    first, last = (float(i) for i in diagonal.window_indices()[[0, -1]])
+    # the envelope is least at (m, n) = (last, first), where (first/last)^270 ~ 1e-210 is a normal double
+    with mp.workdps(30):
+        want = mp.mpf(0.5) * (mp.mpf(last) / mp.mpf(first)) ** 270
+        if kind == "eq_newdecay":
+            want *= mp.mpf(last) ** (1 + mp.mpf(env.eps))
+    assert constant_full == pytest.approx(float(want), rel=1e-12)
+    # the diagonal envelope n^(-1-eps) is least at the last index
     assert constant == (0.5 if kind == "colrow_poly" else 0.5 / last ** (-1.0 - env.eps))
 
 
@@ -833,9 +843,9 @@ def test_steep_per_cell_kind_raises_no_warning(kind):
         warnings.simplefilter("error")
         got = envelope_value(env, mm, nn)
         constant = membership_constant(TruncatedMatrix(0.5 * np.eye(48)), env)
-    finite = np.isfinite(old)
-    assert not finite.all() and np.all(np.isfinite(got))
-    assert got[finite].tobytes() == old[finite].tobytes()
+    lost = (nn <= mm) & ((old == 0.0) | ~np.isfinite(old))
+    assert lost.any() and np.all(np.isfinite(got))
+    assert got[~lost].tobytes() == old[~lost].tobytes()
     assert math.isfinite(constant) and constant > 0.0
 
 
@@ -850,11 +860,27 @@ def test_steep_poly_star_stays_finite_and_keeps_finite_cells(gamma, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = envelope_value(env, mm, nn)
-    finite = np.isfinite(old)
-    np.testing.assert_array_equal(got[finite], old[finite])
-    ratio = 2.0 * ((1.0 + lo[~finite]) / (1.0 + hi[~finite])) ** gamma * (1.0 + hi[~finite]) ** -gamma
-    np.testing.assert_array_equal(got[~finite], ratio)
+    # every poly_star cell is in the ratio-form branch; one lost to inf, nan or 0 is recomputed
+    lost = (old == 0.0) | ~np.isfinite(old)
+    np.testing.assert_array_equal(got[~lost], old[~lost])
+    ratio = 2.0 * ((1.0 + lo[lost]) / (1.0 + hi[lost])) ** gamma * (1.0 + hi[lost]) ** -gamma
+    np.testing.assert_array_equal(got[lost], ratio)
     assert np.all((got >= 0.0) & (got <= 2.0))
+
+
+def test_underflowed_poly_star_cell_is_its_ratio_form_against_mpmath():
+    # (1+100)^300 overflows, so the product form 101^150 / 101^300 gave 0; 101^-150 is a normal double
+    env = DecayEnvelope("poly_star", gamma=150.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cell = envelope_value(env, 100, 100)
+        identity = TruncatedMatrix(np.eye(64))
+        constant = membership_constant(identity, env)
+    with mp.workdps(40):
+        assert cell == pytest.approx(float(mp.mpf(101) ** -150), rel=4e-16)
+        # the diagonal envelope (1+m)^-150 is least at the window's last index
+        last = int(identity.window_indices()[-1])
+        assert constant == pytest.approx(float(mp.mpf(1 + last) ** 150), rel=4e-16)
 
 
 def test_implication_chain_at_a_rate_past_the_double_range_gives_inf_not_nan():
