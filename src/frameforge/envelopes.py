@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,6 +102,26 @@ class TruncatedMatrix:
     def window_indices(self) -> np.ndarray:
         """Logical (1-based) indices covered by the interior window."""
         return np.arange(self.margin + 1, self.n - self.margin + 1)
+
+    @cached_property
+    def spans(self) -> tuple[tuple, tuple]:
+        """Ranges holding the non-zeros: of the columns per ``_ROW_BLOCK`` rows, of the rows per as many columns.
+
+        Each range is half open, (0, 0) for an all-zero block.  One scan in
+        blocks of rows, on first use; the entries must not change after it.
+        """
+        n = self.n
+        starts = np.arange(0, n, _ROW_BLOCK)
+        rows, first, last = [], np.full(starts.size, n), np.zeros(starts.size, dtype=int)
+        for start in starts:
+            nonzero = self.entries[start : start + _ROW_BLOCK] != 0
+            cols = np.flatnonzero(nonzero.any(axis=0))
+            rows.append((int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0))
+            hit = np.logical_or.reduceat(nonzero, starts, axis=1)  # row i meets column block j
+            found = hit.any(axis=0)
+            first = np.where(found, np.minimum(first, start + hit.argmax(axis=0)), first)
+            last = np.where(found, start + hit.shape[0] - hit[::-1].argmax(axis=0), last)
+        return tuple(rows), tuple((int(f), int(s)) if s else (0, 0) for f, s in zip(first, last))
 
     def leading(self, k: int) -> "TruncatedMatrix":
         """Leading k x k corner, margin rescaled proportionally."""
@@ -409,21 +430,24 @@ def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChai
     )
 
 
-def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray, spans=None) -> tuple[np.ndarray, np.ndarray]:
     """Row and column sums of B = |m_ij| e^{r_i - c_j}, formed in blocks of rows by ``_scaled_abs_block``.
 
-    The sums are numpy reductions, not BLAS matrix-vector products, whose
-    bits can depend on the thread count.
+    ``spans`` are the column ranges of m's row blocks (``TruncatedMatrix.spans``),
+    when known: each block is read over its range only, so w bands cost
+    O(N (w + b)) for blocks of b rows.  The sums are numpy reductions, not
+    BLAS matrix-vector products, whose bits can depend on the thread count.
     """
     with np.errstate(over="ignore"):
         er, ec = np.exp(r), np.exp(-c)
     row_sums, col_sums = np.empty(m.shape[0]), np.zeros(m.shape[1])
-    for start in range(0, m.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        mod = np.abs(m[rows])
-        block, row_sums[rows] = _scaled_abs_block(m[rows], mod, r[rows], c, er[rows], ec, np.sum, out=mod)
+    for i, start in enumerate(range(0, m.shape[0], _ROW_BLOCK)):
+        rows, cols = slice(start, start + _ROW_BLOCK), slice(*spans[i]) if spans else slice(None)
+        mod = np.abs(m[rows, cols])
+        block, row_sums[rows] = _scaled_abs_block(m[rows, cols], mod, r[rows], c[cols], er[rows], ec[cols], np.sum,
+                                                  out=mod)
         with np.errstate(over="ignore"):
-            col_sums += block.sum(axis=0)
+            col_sums[cols] += block.sum(axis=0)
     return row_sums, col_sums
 
 
@@ -442,7 +466,7 @@ def schur_bound(a: TruncatedMatrix, p: float) -> float:
     if not (p == math.inf or p >= 1):
         raise ValueError("p must be in [1, inf]")
     zero = np.zeros(a.n)
-    return _schur(*_scaled_abs_sums(a.entries, zero, zero), p)
+    return _schur(*_scaled_abs_sums(a.entries, zero, zero, a.spans[0]), p)
 
 
 def _subexp_tail_integral(gamma: float, beta: float, j: float) -> float:

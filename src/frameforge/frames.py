@@ -2,7 +2,7 @@
 
 A system is stored through its coefficient matrix E with ``E[m-1, n-1] =
 <e_m, g_n>`` against the reference orthonormal basis (g_n), so every
-frame-theoretic operation becomes dense linear algebra:
+frame-theoretic operation becomes linear algebra on E:
 
 * analysis of f (coefficients c):   ``conj(E) @ c``
 * synthesis of a sequence a:        ``E.T @ a``
@@ -10,6 +10,12 @@ frame-theoretic operation becomes dense linear algebra:
 * frame operator on coordinates:    ``E.T @ conj(E)``
 * canonical dual system:            rows of ``E @ (E^H E)^{-1} = E^{-H}``,
   from one inverse of E: by 2 x 2 block products when E is triangular
+
+Every product with E (Gram matrices included) and every pass over the scaled
+moduli of E or of its dual reads each block of ``_ROW_BLOCK`` rows or columns
+only over the range that holds its non-zeros (``TruncatedMatrix.spans``): with
+w bands a Gram matrix costs O(N (w + b)^2) and a pass O(N (w + b)) for blocks of
+b rows, and a dense E runs the untrimmed products, bit for bit.
 
 E is square, so the dual is solved from E itself, as ``inv(E)^H``, with an
 error of order cond(E) eps; the normal equations in E^H E would square the
@@ -105,15 +111,56 @@ def _full_rank(eigenvalues: np.ndarray) -> bool:
     return lam_min > max(RANK_TOL ** 2, eigenvalues.size * np.finfo(float).eps * lam_max)
 
 
-def _gram_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-    """``a @ b`` for a Gram matrix ``name``; raises ValueError when it overflows.
+def _product(a: np.ndarray, a_spans, b: np.ndarray, b_spans, conj_a: bool = False, conj_b: bool = False) -> np.ndarray:
+    """``a @ b``, with a or b conjugated when asked, read only where they hold non-zeros.
 
+    ``a_spans`` are the column ranges of a's blocks of ``_ROW_BLOCK`` rows
+    and ``b_spans`` the row ranges of b's blocks of columns, as in
+    ``TruncatedMatrix.spans``; None stands for one block of all of a (a
+    1-D a is one row).  The tile of row block i and column block j is one
+    product over the intersection of their ranges, which holds all non-zero
+    terms of its entries, so each entry stays one dot product, never a sum
+    of partial products whose bits could differ; with no intersection the
+    tile stays zero.  Neighbouring tiles over the same range run as one
+    product: a dense pair is the untrimmed product, bit for bit.
+    """
+    rows, cols = (a.shape[0] if a.ndim == 2 else 1), b.shape[1]
+    step = _ROW_BLOCK if a_spans is not None else max(rows, 1)
+    plan = []  # [first row, row stop, [[k0, k1, first column, column stop], ...]]
+    for i, (a0, a1) in enumerate(a_spans if a_spans is not None else [(0, a.shape[-1])]):
+        tiles = []
+        for j, (b0, b1) in enumerate(b_spans):
+            k0, k1, c0 = max(a0, b0), min(a1, b1), j * _ROW_BLOCK
+            if k0 >= k1:
+                continue
+            if tiles and tiles[-1][:2] == [k0, k1] and tiles[-1][3] == c0:
+                tiles[-1][3] = min(c0 + _ROW_BLOCK, cols)
+            else:
+                tiles.append([k0, k1, c0, min(c0 + _ROW_BLOCK, cols)])
+        if plan and plan[-1][2] == tiles:
+            plan[-1][1] = min((i + 1) * step, rows)
+        else:
+            plan.append([i * step, min((i + 1) * step, rows), tiles])
+    out = np.zeros(a.shape[:-1] + (cols,), np.result_type(a, b))
+    for r0, r1, tiles in plan:
+        lhs, dst = (a[r0:r1], out[r0:r1]) if a.ndim == 2 else (a, out)
+        for k0, k1, c0, c1 in tiles:
+            x, y = lhs[..., k0:k1], b[k0:k1, c0:c1]
+            np.matmul(x.conj() if conj_a else x, y.conj() if conj_b else y, out=dst[..., c0:c1])
+    return out
+
+
+def _gram_product(m: TruncatedMatrix, adjoint_first: bool, name: str) -> np.ndarray:
+    """The Gram matrix ``name`` of M: M^H M when ``adjoint_first``, else M M^H; raises ValueError when it overflows.
+
+    ``_product`` forms it over M's spans, conjugating one tile at a time.
     The stored matrix is finite, so a non-finite Gram means that entries of
     about 1e154 or more squared past the double range; ``eigvalsh`` would
     then fail to converge rather than say why.
     """
+    e, (rows, cols) = m.entries, m.spans
     with np.errstate(over="ignore"):
-        gram = a @ b
+        gram = _product(e.T, cols, e, cols, conj_a=True) if adjoint_first else _product(e, rows, e.T, rows, conj_b=True)
     if not np.all(np.isfinite(gram)):
         raise ValueError(f"{name} overflows the double range: matrix entries near 1e154 or larger")
     return gram
@@ -291,7 +338,7 @@ def _inverse(e: np.ndarray) -> np.ndarray:
     return np.linalg.inv(e)
 
 
-def _certify_full_rank(e: np.ndarray) -> bool:
+def _certify_full_rank(e: TruncatedMatrix | np.ndarray) -> bool:
     """Whether one shifted Cholesky of fl(E^H E) proves that E^H E has full rank.
 
     True proves lambda_min(E^H E) > tau = max(RANK_TOL^2, N eps lambda_bar)
@@ -347,8 +394,9 @@ def _certify_full_rank(e: np.ndarray) -> bool:
     ``_gram_product``, so an overflow raises the same ValueError as the
     eigenvalues do.
     """
-    n = e.shape[0]
-    g = _gram_product(e.conj().T, e, "the Gram matrix E^H E")
+    m = e if isinstance(e, TruncatedMatrix) else TruncatedMatrix(e)
+    e, n = m.entries, m.n
+    g = _gram_product(m, True, "the Gram matrix E^H E")
     zero = np.zeros(n)
     fro_e, schur_g = float(np.vdot(e, e).real), _schur(*_scaled_abs_sums(g, zero, zero), 2.0)
     if not (math.isfinite(fro_e) and math.isfinite(schur_g)):  # sums past the double range prove nothing
@@ -402,7 +450,7 @@ class FrameSystem:
     @cached_property
     def gram_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of the Gram matrix E^H E in ascending order."""
-        return np.linalg.eigvalsh(_gram_product(self.matrix.conj().T, self.matrix, "the Gram matrix E^H E"))
+        return np.linalg.eigvalsh(_gram_product(self.coeffs, True, "the Gram matrix E^H E"))
 
     @cached_property
     def canonical_dual(self) -> "FrameSystem":
@@ -422,7 +470,7 @@ class FrameSystem:
         conjugated in place and transposed, with no further N x N copy.
         """
         if "gram_eigenvalues" in self.__dict__ or not (
-            _prove_full_rank_from_diagonal(self.matrix) or _certify_full_rank(self.matrix)
+            _prove_full_rank_from_diagonal(self.matrix) or _certify_full_rank(self.coeffs)
         ):
             _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
         inverse = _inverse(self.matrix)
@@ -445,7 +493,8 @@ def cross_gram(e: FrameSystem, f: FrameSystem) -> TruncatedMatrix:
     """Matrix of inner products <e_m, f_n> in coefficient space."""
     if e.n != f.n:
         raise ValueError("systems have different truncation sizes")
-    return TruncatedMatrix(e.matrix @ f.matrix.conj().T, margin=e.coeffs.margin)
+    product = _product(e.matrix, e.coeffs.spans[0], f.matrix.T, f.coeffs.spans[0], conj_b=True)
+    return TruncatedMatrix(product, margin=e.coeffs.margin)
 
 
 def _coefficients(f, n: int) -> np.ndarray:
@@ -460,18 +509,23 @@ def _coefficients(f, n: int) -> np.ndarray:
 def analysis(e: FrameSystem, f) -> np.ndarray:
     """Analysis coefficients (<f, e_m>)_m of f given by Hermite coefficients.
 
-    A (b, N) block f gives the analysis of each row, in one matrix product.
-    The conjugate is taken of f and of the result, never of E, so a complex
-    system copies no N x N array (``conj`` of a real array is the array).
+    A (b, N) block f gives the analysis of each row, by ``_product`` over
+    E's spans.  The conjugate is taken of f and of the result, never of E,
+    so a complex system copies no N x N array (``conj`` of a real array is
+    the array).
     """
     f = _coefficients(f, e.n)
-    return (f.conj() @ e.matrix.T).conj()
+    return _product(f.conj(), None, e.matrix.T, e.coeffs.spans[0]).conj()
 
 
-def synthesis(e: FrameSystem, c) -> np.ndarray:
-    """Hermite coefficients of sum_n c_n e_n; a (b, N) block c gives one row per row."""
+def synthesis(e: FrameSystem, c, spans=None) -> np.ndarray:
+    """Hermite coefficients of sum_n c_n e_n; a (b, N) block c gives one row per row.
+
+    The product reads E's spans and, when the caller knows them, ``spans``,
+    the column ranges of c's blocks of ``_ROW_BLOCK`` rows (``_product``).
+    """
     c = _coefficients(c, e.n)
-    return c @ e.matrix
+    return _product(c, spans, e.matrix, e.coeffs.spans[1])
 
 
 def frame_bounds(e: FrameSystem) -> tuple[float, float]:
@@ -726,7 +780,7 @@ def jaffard_predict(
     # scipy.special loads before the N x N arrays are live
     p_split = p_series(gp - gpp, beta)
 
-    aas = _gram_product(a.entries, a.entries.conj().T, "AA*")
+    aas = _gram_product(a, False, "AA*")
     lam = np.linalg.eigvalsh(aas)
     _require_full_rank(lam, "matrix is singular at truncation")
     c_class = membership_constant(a, DecayEnvelope("jaffard", gamma=gamma, beta=beta))
@@ -810,28 +864,30 @@ class OperatorNormReport:
     frame_op_min: tuple[float, float]
 
 
-def _schur_bounds(mat: np.ndarray, log_w: np.ndarray, p: float) -> tuple[float, float, float]:
+def _schur_bounds(mat: np.ndarray, log_w: np.ndarray, p: float, spans=None) -> tuple[float, float, float]:
     """Schur bounds of B = D |conj(E)| D^-1, G^T = D |E^T| D^-1 and of G^T B >= |D S D^-1|, D = diag(e^log_w).
 
-    Both factors are formed from one block of moduli per block of rows.  The
-    product is never formed: its row sums are G^T (B 1) and its column sums
-    (G 1)^T B, and a block's rows of B 1 and G 1 are in hand with the block.
+    Both factors are formed from one block of moduli per block of rows,
+    over the block's column range in ``spans`` when given.  The product is
+    never formed: its row sums are G^T (B 1) and its column sums (G 1)^T B,
+    and a block's rows of B 1 and G 1 are in hand with the block.
     """
     with np.errstate(over="ignore"):
         ew, einv = np.exp(log_w), np.exp(-log_w)
     b_rows, g_rows = np.empty(mat.shape[0]), np.empty(mat.shape[0])
     b_cols, g_cols, s_rows, s_cols = np.zeros((4, mat.shape[1]))
-    for start in range(0, mat.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        mod = np.abs(mat[rows])
-        b, b_rows[rows] = _scaled_abs_block(mat[rows], mod, log_w[rows], log_w, ew[rows], einv, np.sum)
-        g, g_rows[rows] = _scaled_abs_block(mat[rows], mod, -log_w[rows], -log_w, einv[rows], ew, np.sum, out=mod)
+    for i, start in enumerate(range(0, mat.shape[0], _ROW_BLOCK)):
+        rows, cols = slice(start, start + _ROW_BLOCK), slice(*spans[i]) if spans else slice(None)
+        m = mat[rows, cols]
+        mod = np.abs(m)
+        b, b_rows[rows] = _scaled_abs_block(m, mod, log_w[rows], log_w[cols], ew[rows], einv[cols], np.sum)
+        g, g_rows[rows] = _scaled_abs_block(m, mod, -log_w[rows], -log_w[cols], einv[rows], ew[cols], np.sum, out=mod)
         with np.errstate(over="ignore", invalid="ignore"):
-            b_cols += b.sum(axis=0)
-            g_cols += g.sum(axis=0)
+            b_cols[cols] += b.sum(axis=0)
+            g_cols[cols] += g.sum(axis=0)
             # an exact zero adds 0, also beside an infinite row sum
-            s_rows += np.multiply(g, b_rows[rows, None], out=g, where=g > 0.0).sum(axis=0)
-            s_cols += np.multiply(b, g_rows[rows, None], out=b, where=b > 0.0).sum(axis=0)
+            s_rows[cols] += np.multiply(g, b_rows[rows, None], out=g, where=g > 0.0).sum(axis=0)
+            s_cols[cols] += np.multiply(b, g_rows[rows, None], out=b, where=b > 0.0).sum(axis=0)
     return _schur(b_rows, b_cols, p), _schur(g_cols, g_rows, p), _schur(s_rows, s_cols, p)
 
 
@@ -849,12 +905,12 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     operator of the canonical dual: it runs from 1 / (the dual's Schur
     bound) up to the least unit-vector ratio of S.  Both ends read the
     same scaled moduli |m_ij| e^{l_i - l_j}, l = log w, formed in blocks of
-    rows (``weights._scaled_abs_block``): a ratio is the l^p norm of one
-    row of them, and the Schur bounds sum them.  The ratios are attained
-    values, computed in product form: within a few ulp while the weights
-    stay in the double range, past it within a few |log B_ij| eps relative
-    for the scaled moduli B_ij of the row.  A p
-    outside [1, inf] raises ValueError.
+    rows over their spans (``weights._scaled_abs_block``): a ratio is the
+    l^p norm of one row of them, and the Schur bounds sum them.  The ratios
+    are attained values, computed in product form: within a few ulp while
+    the weights stay in the double range, past it within a few |log B_ij|
+    eps relative for the scaled moduli B_ij of the row.  A p outside
+    [1, inf] raises ValueError.
     """
     if w.kind != "moderate" and w.effective_beta >= loc_beta:
         raise IncompatibleWeight("incompatible weight: weight order must be below the localization order")
@@ -862,14 +918,20 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
         raise ValueError("system is not localized; weighted bounds do not apply")
     log_w = log_eval_weight(w, np.arange(1, e.n + 1, dtype=float))
     ratios = np.empty((3, e.n))
-    for start in range(0, e.n, _ROW_BLOCK):
+    row_spans, col_spans = e.coeffs.spans
+    for i, start in enumerate(range(0, e.n, _ROW_BLOCK)):
         j = slice(start, start + _ROW_BLOCK)
         u = e.matrix.T[j].conj()  # the analysis of e_j is conj(column j of E), its synthesis row j of E
         with np.errstate(over="ignore"):  # an image past the double range gives an infinite ratio
-            images = synthesis(e, u)
-        # ||M e_j|| / ||e_j|| is the norm of the row |(M e_j)_i| e^{l_i - l_j}
-        ratios[:, j] = [_scaled_abs_row_norms(m, -log_w[j], -log_w, p) for m in (u, e.matrix[j], images)]
+            images = synthesis(e, u, spans=col_spans[i : i + 1])
+        # ||M e_j|| / ||e_j|| is the norm of the row |(M e_j)_i| e^{l_i - l_j}, read over its block's span
+        cols = np.flatnonzero(images.any(axis=0))
+        spans = (col_spans[i], row_spans[i], (cols[0], cols[-1] + 1) if cols.size else (0, 0))
+        ratios[:, j] = [_scaled_abs_row_norms(m[:, c0:c1], -log_w[j], -log_w[c0:c1], p)
+                        for m, (c0, c1) in zip((u, e.matrix[j], images), spans)]
     # where rounding inverts a bracket that closes (p = 1), the proven end yields to the attained one
-    norms = [(float(lo), max(hi, float(lo))) for lo, hi in zip(ratios.max(axis=1), _schur_bounds(e.matrix, log_w, p))]
-    s_lo, s_hi = 1.0 / _schur_bounds(canonical_dual(e).matrix, log_w, p)[2], float(ratios[2].min())
+    upper = _schur_bounds(e.matrix, log_w, p, row_spans)
+    norms = [(float(lo), max(hi, float(lo))) for lo, hi in zip(ratios.max(axis=1), upper)]
+    dual = canonical_dual(e).coeffs
+    s_lo, s_hi = 1.0 / _schur_bounds(dual.entries, log_w, p, dual.spans[0])[2], float(ratios[2].min())
     return OperatorNormReport(*norms, frame_op_min=(min(s_lo, s_hi), s_hi))

@@ -95,8 +95,9 @@ def fframe_bounds(e: FrameSystem, family: str, k: float, beta: float = 1.0) -> t
     the double range.  Raises LinAlgError when the system has no dual.
     """
     l = _log_grading(np.arange(1, e.n + 1, dtype=float), family, k, beta)
-    dual_rows, dual_cols = _scaled_abs_sums(canonical_dual(e).matrix, -l, -l)
-    return 1.0 / _schur(dual_cols, dual_rows, 2.0), _schur(*_scaled_abs_sums(e.matrix, l, l), 2.0)
+    dual = canonical_dual(e).coeffs
+    dual_rows, dual_cols = _scaled_abs_sums(dual.entries, -l, -l, dual.spans[0])
+    return 1.0 / _schur(dual_cols, dual_rows, 2.0), _schur(*_scaled_abs_sums(e.matrix, l, l, e.coeffs.spans[0]), 2.0)
 
 
 def fframe_bounds_estimate(

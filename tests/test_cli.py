@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameforge import cli, frames, graded
+from frameforge import cli, frames, graded, weights
 from frameforge.cli import main
 from frameforge.envelopes import TruncatedMatrix, p_series
 from frameforge.matio import load_frame_system, save_matrix, sidecar_path
@@ -665,6 +665,34 @@ def test_report_forms_the_gram_once(tmp_path, monkeypatch):
     assert calls == ["the Gram matrix E^H E"]
     assert not hasattr(frames.FrameSystem, "gram")
 
+
+
+def test_outputs_over_spans_equal_those_over_full_rows(tmp_path, monkeypatch):
+    # the products and scaled-moduli passes read each block over its span of
+    # non-zeros; with one full span per block they read whole rows, as before
+    report = write_config(tmp_path, "report.json", {
+        "spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 256, "gamma": 2.0,
+        "levels": [0, 1, 2, 3, 4], "trials": 1000, "seed": 7,
+        "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}})
+    n = 256
+    matrix = tmp_path / "tridiag.csv"
+    save_matrix(matrix, TruncatedMatrix(np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))))
+    jaffard = write_config(tmp_path, "jaffard.json", {"matrix": str(matrix), "beta": 1.0, "gamma": math.log(1 / 0.3)})
+
+    def run(tag):
+        out = tmp_path / tag
+        assert main(["report", "--config", report, "--out", str(out), "--no-timestamp"]) == 0
+        assert main(["jaffard", "--config", jaffard, "--out", str(out)]) == 0
+        return [(out / name).read_bytes() for name in ("report.json", "expansion.csv", "jaffard.json")]
+
+    trimmed = run("spans")
+
+    def full_spans(self):
+        blocks = ((0, self.n),) * len(range(0, self.n, weights._ROW_BLOCK))
+        return blocks, blocks
+
+    monkeypatch.setattr(TruncatedMatrix, "spans", property(full_spans))
+    assert run("full") == trimmed
 
 def test_report_trials_and_levels_default_alike_in_every_step(tmp_path):
     base = {"spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": 32, "seed": 2,

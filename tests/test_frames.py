@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from frameforge import frames, weights
+from frameforge import envelopes, frames, weights
 from frameforge.envelopes import DecayEnvelope, TruncatedMatrix, envelope_value, fit_decay, p_series, schur_bound
 from frameforge.frames import (
     FrameSystem,
@@ -568,7 +568,7 @@ def test_rank_deficient_product_rejected_by_dual_and_jaffard(m):
 
 
 def _gram(e):
-    return frames._gram_product(e.conj().T, e, "the Gram matrix E^H E")
+    return frames._gram_product(TruncatedMatrix(e), True, "the Gram matrix E^H E")
 
 
 def _certified_soundly(e, exact_extremes) -> bool:
@@ -1251,6 +1251,22 @@ def test_analysis_copies_no_system_matrix():
     assert _traced_peak(lambda: cross_gram(real, real)) < 1.5 * n * n * 8
 
 
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_products_over_spans_allocate_their_output_and_row_blocks(cplx):
+    # Besides the N x N output and the N x N booleans of the finiteness check, the
+    # span scan holds one block of _ROW_BLOCK x N booleans and each product one
+    # tile, conjugated or not, of at most _ROW_BLOCK x N entries; the untrimmed
+    # complex Gram held a conjugated copy of E besides.
+    n = 512
+    e = FrameSystem(perturbed(n).matrix * (0.6 + 0.8j)) if cplx else perturbed(n)
+    dual = canonical_dual(e)
+    item = e.matrix.itemsize
+    bound = n * n * (item + 1) + 2 * weights._ROW_BLOCK * n * item
+    fresh = [TruncatedMatrix(x) for x in (e.matrix, e.matrix, dual.matrix)]  # spans not yet scanned
+    assert _traced_peak(lambda: frames._gram_product(fresh[0], True, "the Gram matrix E^H E")) <= bound
+    assert _traced_peak(lambda: cross_gram(FrameSystem(fresh[2]), FrameSystem(fresh[1]))) <= bound
+
 def test_analysis_and_synthesis_of_a_block_match_each_row():
     e = _complex_localized(40)
     block = np.random.default_rng(2).standard_normal((5, 40))
@@ -1289,3 +1305,103 @@ def test_norm_equivalence_interval_for_perturbed_basis():
         f = rng.standard_normal(n)
         ratio = weighted_norm(analysis(system, f), w, 2) / weighted_norm(f, w, 2)
         assert 1.0 / c - 1e-12 <= ratio <= c + 1e-12
+
+
+# ------------------------------------------------------- products over spans
+# The products and scaled-moduli passes read each block of rows or columns over
+# the range that holds its non-zeros (TruncatedMatrix.spans).  The references
+# below are the untrimmed computations.  Rounding: a floating-point sum or dot
+# product of k terms, in any order and with or without FMA, is within
+# gamma_k = k u / (1 - k u) (u = 2^-53) of the exact value times the sum of
+# the moduli of its terms (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sec. 3.1); with complex arithmetic the real and the
+# imaginary part are real sums of 2k products, so gamma_{3k} >= sqrt(2) gamma_{2k}
+# covers the modulus (sec. 3.6).  Trimmed and untrimmed values are each within
+# that of the exact one, so within twice that of each other; the computed
+# |A| |B| lies within gamma_k below the exact one, hence the 1 / (1 - gamma).
+
+
+def _twice_gamma(k):
+    g = 3 * k * 2.0 ** -53 / (1 - 3 * k * 2.0 ** -53)
+    return 2 * g / (1 - g)
+
+
+def untrimmed_scaled_abs_sums(m, r, c):
+    """Row and column sums of |m_ij| e^{r_i - c_j} over whole rows, for finite scales."""
+    er, ec = np.exp(r), np.exp(-c)
+    rows, cols = np.empty(m.shape[0]), np.zeros(m.shape[1])
+    for start in range(0, m.shape[0], weights._ROW_BLOCK):
+        block = slice(start, start + weights._ROW_BLOCK)
+        scaled = np.abs(m[block]) * er[block, None] * ec
+        rows[block] = scaled.sum(axis=1)
+        cols += scaled.sum(axis=0)
+    return rows, cols
+
+
+def _banded(rng, n, lower, upper, cplx, zero_block):
+    i, j = np.indices((n, n))
+    m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+    m = np.where((j - i <= upper) & (i - j <= lower), m, 0.0)
+    if zero_block:
+        start = (n // 2) // weights._ROW_BLOCK * weights._ROW_BLOCK
+        m[start : start + weights._ROW_BLOCK] = 0.0
+    return m
+
+
+_BANDS = st.tuples(st.integers(0, 300), st.integers(0, 300))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), bands=st.tuples(_BANDS, _BANDS), cplx=st.booleans(), zero_block=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=300, bands=((300, 300), (300, 300)), cplx=False, zero_block=False, seed=1)  # dense
+@example(n=300, bands=((300, 300), (300, 300)), cplx=True, zero_block=False, seed=2)
+@example(n=100, bands=((100, 100), (100, 100)), cplx=True, zero_block=False, seed=3)
+@example(n=257, bands=((0, 2), (3, 0)), cplx=False, zero_block=True, seed=4)  # upper and lower bands
+@example(n=300, bands=((1, 1), (0, 300)), cplx=True, zero_block=True, seed=5)  # tridiagonal, upper triangular
+@example(n=128, bands=((2, 0), (5, 7)), cplx=False, zero_block=False, seed=6)
+def test_products_over_spans_match_the_untrimmed_products(n, bands, cplx, zero_block, seed):
+    rng = np.random.default_rng(seed)
+    e_mat, f_mat = (_banded(rng, n, lower, upper, cplx, zero_block) for lower, upper in bands)
+    e, f = FrameSystem(e_mat), FrameSystem(f_mat)
+    dense = not zero_block and all(min(b) >= n - 1 for b in bands)
+    block = rng.standard_normal((5, n)) + (1j * rng.standard_normal((5, n)) if cplx else 0.0)
+    vector = block[0]
+    u = e_mat.T[: weights._ROW_BLOCK].conj()  # rows of E^H, whose spans are E's column spans
+    cases = [  # (trimmed, untrimmed, A, B) for the product A B
+        (synthesis(e, block), block @ e_mat, block, e_mat),
+        (synthesis(e, vector), vector @ e_mat, vector, e_mat),
+        (synthesis(e, u, spans=e.coeffs.spans[1][:1]), u @ e_mat, u, e_mat),
+        (analysis(e, block), (block.conj() @ e_mat.T).conj(), block, e_mat.T),
+        (analysis(e, vector), (vector.conj() @ e_mat.T).conj(), vector, e_mat.T),
+        (cross_gram(e, f).entries, e_mat @ f_mat.conj().T, e_mat, f_mat.T),
+        (frames._gram_product(e.coeffs, True, "the Gram matrix E^H E"), e_mat.conj().T @ e_mat, e_mat.T, e_mat),
+        (frames._gram_product(e.coeffs, False, "AA*"), e_mat @ e_mat.conj().T, e_mat, e_mat.T),
+    ]
+    for got, want, a, b in cases:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        if dense:
+            assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got - want) <= _twice_gamma(n) * (np.abs(a) @ np.abs(b)))
+    r, c = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n)
+    trimmed = envelopes._scaled_abs_sums(e_mat, r, c, e.coeffs.spans[0])
+    for got, want in zip(trimmed, untrimmed_scaled_abs_sums(e_mat, r, c)):
+        if dense:
+            assert got.tobytes() == want.tobytes()
+        assert np.all(np.abs(got - want) <= _twice_gamma(n) * want)
+
+
+def test_spans_run_from_the_first_to_the_last_non_zero_of_each_block():
+    rng = np.random.default_rng(7)
+    n, step = 300, weights._ROW_BLOCK
+    m = _banded(rng, n, 3, 1, False, True)
+    rows, cols = TruncatedMatrix(m).spans
+    for i, (c0, c1) in enumerate(rows):
+        nz = np.flatnonzero(m[i * step : (i + 1) * step].any(axis=0))
+        assert (c0, c1) == ((nz[0], nz[-1] + 1) if nz.size else (0, 0))
+    for j, (r0, r1) in enumerate(cols):
+        nz = np.flatnonzero(m[:, j * step : (j + 1) * step].any(axis=1))
+        assert (r0, r1) == (nz[0], nz[-1] + 1)
+    assert rows[1] == (0, 0)  # the zeroed block
+    dense = TruncatedMatrix(np.ones((n, n))).spans
+    assert dense == (((0, n),) * 3, ((0, n),) * 3)

@@ -90,6 +90,34 @@ def test_recurrence_against_high_precision_oracle():
             assert abs(table[xi, k + 1] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+
+@pytest.mark.parametrize("n", [1000, 1537, 2055])
+def test_table_past_degree_1000_against_the_closed_form(n):
+    # psi_n(x) = (2^n n! sqrt(pi))^(-1/2) H_n(x) e^(-x^2/2) with mpmath's H_n at 50 digits, at points
+    # inside and past the turning point sqrt(2n+1); every point beyond x ~ 34 passes e^(x^2/2) > 1e250 on
+    # its way up, so the renormalization runs.  Tolerance: each recurrence step rounds its two terms
+    # and their difference, a few eps of the terms, and in the forward direction a three-term
+    # recurrence for the dominant (here the only computed) solution carries those errors without
+    # amplification, so n steps give at most about 16 n eps of the local amplitude
+    # A = sqrt(psi_n^2 + psi_{n-1}^2), the envelope of the oscillation that neither solution
+    # exceeds; exp(logscale) adds the error of exp at its argument, |x^2/2| eps relative, with room
+    # for the 1e250 divisions that the added logs of 1e250 undo to within an eps each.
+    mp.mp.dps = 50
+    eps = np.finfo(float).eps
+    turning = math.sqrt(2 * n + 1)
+    x = np.array([0.5, 17.25, 40.0, 0.95 * turning, turning + 1.0, turning + 4.0])
+    table = hermite_function_table(n, x)
+
+    def psi(k, xi):
+        xi = mp.mpf(xi)
+        return mp.hermite(k, xi) * mp.exp(-xi * xi / 2) / mp.sqrt(mp.mpf(2) ** k * mp.factorial(k) * mp.sqrt(mp.pi))
+
+    for i, xi in enumerate(x):
+        ref, prev = psi(n, xi), psi(n - 1, xi)
+        amplitude = float(mp.sqrt(ref ** 2 + prev ** 2))
+        assert abs(table[i, n] - float(ref)) <= eps * (16 * n + xi * xi) * amplitude, (n, xi)
+
+
 def reference_table(kmax, x):
     """The recurrence with every column stored and exp(logscale) taken at every degree."""
     out = np.empty((x.size, kmax + 1))
