@@ -161,7 +161,7 @@ FIELDS = {
     "format": _one_of("csv", "binary"), "betas": _numbers, "p": _real, "beta": _real, "gamma": _real,
     "gamma_prime": _real, "gamma_dprime": _real, "eps_free": _real, "poly": _one_of(False, True),
     "family": _one_of(*weights._FAMILIES), "levels": _numbers, "checkpoints": _integers,
-    "function": _test_function, "trials": _integer, "weight": dict,
+    "function": _test_function, "trials": _integer, "weight": lambda value: Weight(**value),
 }
 
 # The default of each key that several steps read, the same for all of them.
@@ -343,12 +343,9 @@ def step_fframe(inv: Invocation) -> dict:
 
 def step_weighted_norms(inv: Invocation) -> dict:
     """Brackets of the weighted operator norms; bounded needs finite upper ends, invertible a positive lower one."""
-    if "weight" not in inv.cfg:
+    w = inv.get("weight", None)
+    if w is None:
         return {"status": "skipped", "reason": "no weight configured"}
-    try:
-        w = Weight(**inv.cfg["weight"])
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"invalid weight: {err}") from err
     rep = frames.weighted_operator_norms(inv.system, w, inv.get("p", 2.0))
     brackets = {name: {"lower": lo, "upper": hi} for name, (lo, hi) in vars(rep).items()}
     ok = rep.frame_op_min[0] > 0 and all(math.isfinite(hi) for _, hi in (rep.analysis, rep.synthesis, rep.frame_op))

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .weights import _ROW_BLOCK, _log_grading, _scaled_abs_block
+from .weights import _ROW_BLOCK, _log_grading, _scaled_abs_blocks
 
 __all__ = [
     "DecayEnvelope",
@@ -82,6 +82,8 @@ class TruncatedMatrix:
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.issubdtype(a.dtype, np.inexact):  # integer or boolean entries, read as doubles
+            a = a.astype(float)
         if a.size and not np.all(np.isfinite(a)):
             raise ValueError("matrix has non-finite entries")
         object.__setattr__(self, "entries", a)
@@ -104,24 +106,41 @@ class TruncatedMatrix:
         return np.arange(self.margin + 1, self.n - self.margin + 1)
 
     @cached_property
+    def profile(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each row, the first and the last column that hold a non-zero; (N, -1) for a zero row.
+
+        One scan in blocks of ``_ROW_BLOCK`` rows, on first use; the entries
+        must not change after it.  Each row is searched from both ends within
+        its block's column range, copied row-major (a dual is column-major).
+        """
+        n = self.n
+        first, last = np.full(n, n), np.full(n, -1)
+        for start in range(0, n, _ROW_BLOCK):
+            nonzero = self.entries[start : start + _ROW_BLOCK] != 0
+            cols = np.flatnonzero(nonzero.any(axis=0))
+            if cols.size:
+                span = np.ascontiguousarray(nonzero[:, cols[0] : cols[-1] + 1])
+                rows, held = slice(start, start + _ROW_BLOCK), span.any(axis=1)
+                first[rows] = np.where(held, cols[0] + span.argmax(axis=1), n)
+                last[rows] = np.where(held, cols[-1] - span[:, ::-1].argmax(axis=1), -1)
+        return first, last
+
+    @cached_property
     def spans(self) -> tuple[tuple, tuple]:
         """Ranges holding the non-zeros: of the columns per ``_ROW_BLOCK`` rows, of the rows per as many columns.
 
-        Each range is half open, (0, 0) for an all-zero block.  One scan in
-        blocks of rows, on first use; the entries must not change after it.
+        Each range is half open, (0, 0) for an all-zero block.  Read off the
+        ``profile``: a block of rows runs from its least first column to its
+        greatest last one, a block of columns over the rows whose first-to-last
+        range meets it, so the ranges are exact unless a row's gap between
+        two non-zeros covers a whole block of columns.
         """
-        n = self.n
-        starts = np.arange(0, n, _ROW_BLOCK)
-        rows, first, last = [], np.full(starts.size, n), np.zeros(starts.size, dtype=int)
-        for start in starts:
-            nonzero = self.entries[start : start + _ROW_BLOCK] != 0
-            cols = np.flatnonzero(nonzero.any(axis=0))
-            rows.append((int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0))
-            hit = np.logical_or.reduceat(nonzero, starts, axis=1)  # row i meets column block j
-            found = hit.any(axis=0)
-            first = np.where(found, np.minimum(first, start + hit.argmax(axis=0)), first)
-            last = np.where(found, start + hit.shape[0] - hit[::-1].argmax(axis=0), last)
-        return tuple(rows), tuple((int(f), int(s)) if s else (0, 0) for f, s in zip(first, last))
+        first, last = self.profile
+        starts = range(0, self.n, _ROW_BLOCK)
+        rows = ((int(first[s : s + _ROW_BLOCK].min()), int(last[s : s + _ROW_BLOCK].max()) + 1) for s in starts)
+        cols = (np.flatnonzero((first < s + _ROW_BLOCK) & (last >= s)) for s in starts)
+        return (tuple((f, l) if l else (0, 0) for f, l in rows),
+                tuple((int(i[0]), int(i[-1]) + 1) if i.size else (0, 0) for i in cols))
 
     def leading(self, k: int) -> "TruncatedMatrix":
         """Leading k x k corner, margin rescaled proportionally."""
@@ -159,20 +178,20 @@ class DecayEnvelope:
         if self.kind not in _ENVELOPE_KINDS:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind in ("poly_star", "poly_dstar", "poly_tstar", "jaffard"):
-            if self.gamma <= 0:
+            if not self.gamma > 0:
                 raise ValueError("gamma must be positive")
         if self.kind in ("jaffard", "colrow_subexp", "subexp_split"):
             if not 0.0 < self.beta <= 1.0:
                 raise ValueError("beta must lie in (0, 1]")
         if self.kind in ("colrow_poly", "colrow_subexp", "eq_newdecay", "subexp_split", "grdecay"):
-            if self.gamma0 < 0:
+            if not self.gamma0 >= 0:
                 raise ValueError("gamma0 must be nonnegative")
-            if self.gamma1 <= 0:
+            if not self.gamma1 > 0:
                 raise ValueError("gamma1 must be positive")
-        if self.kind in ("eq_newdecay", "grdecay", "subexp_split") and self.eps <= 0:
+        if self.kind in ("eq_newdecay", "grdecay", "subexp_split") and not self.eps > 0:
             raise ValueError("eps must be positive")
         for name in ("c", "c0", "c1"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"constant {name} must be nonnegative")
 
     def unit(self) -> "DecayEnvelope":
@@ -406,7 +425,7 @@ class ImplicationChainReport:
 def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChainReport:
     if a.n < 32:
         raise ValueError("need N >= 32 for the doubling comparison")
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     envs = {
         "star": DecayEnvelope("poly_star", gamma=gamma),
@@ -431,21 +450,15 @@ def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChai
 
 
 def _scaled_abs_sums(m: np.ndarray, r: np.ndarray, c: np.ndarray, spans=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column sums of B = |m_ij| e^{r_i - c_j}, formed in blocks of rows by ``_scaled_abs_block``.
+    """Row and column sums of B = |m_ij| e^{r_i - c_j}, formed in blocks of rows by ``_scaled_abs_blocks``.
 
     ``spans`` are the column ranges of m's row blocks (``TruncatedMatrix.spans``),
-    when known: each block is read over its range only, so w bands cost
-    O(N (w + b)) for blocks of b rows.  The sums are numpy reductions, not
-    BLAS matrix-vector products, whose bits can depend on the thread count.
+    when known.  The sums are numpy reductions, not BLAS matrix-vector
+    products, whose bits can depend on the thread count.
     """
-    with np.errstate(over="ignore"):
-        er, ec = np.exp(r), np.exp(-c)
     row_sums, col_sums = np.empty(m.shape[0]), np.zeros(m.shape[1])
-    for i, start in enumerate(range(0, m.shape[0], _ROW_BLOCK)):
-        rows, cols = slice(start, start + _ROW_BLOCK), slice(*spans[i]) if spans else slice(None)
-        mod = np.abs(m[rows, cols])
-        block, row_sums[rows] = _scaled_abs_block(m[rows, cols], mod, r[rows], c[cols], er[rows], ec[cols], np.sum,
-                                                  out=mod)
+    for rows, cols, block, sums in _scaled_abs_blocks(m, r, c, np.sum, spans):
+        row_sums[rows] = sums
         with np.errstate(over="ignore"):
             col_sums[cols] += block.sum(axis=0)
     return row_sums, col_sums

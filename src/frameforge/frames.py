@@ -13,9 +13,10 @@ frame-theoretic operation becomes linear algebra on E:
 
 Every product with E (Gram matrices included) and every pass over the scaled
 moduli of E or of its dual reads each block of ``_ROW_BLOCK`` rows or columns
-only over the range that holds its non-zeros (``TruncatedMatrix.spans``): with
-w bands a Gram matrix costs O(N (w + b)^2) and a pass O(N (w + b)) for blocks of
-b rows, and a dense E runs the untrimmed products, bit for bit.
+only over the range that holds its non-zeros (``TruncatedMatrix.spans``, read
+off one scan of each row's first and last non-zero column, its ``profile``):
+with w bands a Gram matrix costs O(N (w + b)^2) and a pass O(N (w + b)) for
+blocks of b rows, and a dense E runs the untrimmed products, bit for bit.
 
 E is square, so the dual is solved from E itself, as ``inv(E)^H``, with an
 error of order cond(E) eps; the normal equations in E^H E would square the
@@ -23,9 +24,9 @@ condition number.  An upper triangular E, such as every perturbation of the
 identity I + sum_i a_i S^i, is inverted through
 [A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1], recursing on A and D down to
 blocks of at most ``_LEAF`` = 64 rows that go to LAPACK's LU, with the corner
-products cut to the rows and columns that hold B's non-zeros; a lower
-triangular E through its transpose.  Any other E takes the LU whole.  The
-inverse-decay check reads the same inverse.  The Gram matrix E^H E is
+products cut to the rows and columns of B that the profile reaches; a lower
+triangular E, read off the profile too, through its transpose.  Any other E
+takes the LU whole.  The inverse-decay check reads the same inverse.  The Gram matrix E^H E is
 formed for its eigenvalues (the frame bounds, and the rank rule wherever
 they are computed anyway); it is not kept.  When no eigenvalue is asked
 for, the dual's rank rule is first tried on a Gershgorin-type bound read
@@ -62,7 +63,7 @@ from .envelopes import (
 from .weights import (
     _ROW_BLOCK,
     Weight,
-    _scaled_abs_block,
+    _scaled_abs_blocks,
     _scaled_abs_row_norms,
     _to_json_list,
     as_sequence,
@@ -271,20 +272,7 @@ _LEAF = 64
 _BLOCKED_DTYPES = (np.dtype(float), np.dtype(complex))
 
 
-def _is_upper_triangular(u: np.ndarray) -> bool:
-    """Whether every entry of U strictly below the diagonal is zero.
-
-    U is read in blocks of ``_ROW_BLOCK`` rows, each up to its diagonal,
-    and the first block with a non-zero entry below it ends the test.
-    """
-    for start in range(0, u.shape[0], _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        if np.tril(u[start:stop, :stop], start - 1).any():
-            return False
-    return True
-
-
-def _invert_upper(u: np.ndarray, out: np.ndarray) -> None:
+def _invert_upper(u: np.ndarray, out: np.ndarray, last: np.ndarray) -> None:
     """Write the inverse of the upper triangular U into ``out``, whose part below the diagonal is zero.
 
     With U = [A B; 0 D] and A of half the rows,
@@ -296,45 +284,49 @@ def _invert_upper(u: np.ndarray, out: np.ndarray) -> None:
     "Stability of methods for matrix inversion", IMA J. Numer. Anal. 12,
     1992).
 
-    The products run only over B's non-zeros: with r0 its first row that
-    holds one and c1 - 1 its last such column, the corner is
-    -(A^-1[:, r0:] B[r0:, :c1]) D^-1[:c1, :], and an all-zero B leaves it
-    zero.  A banded U of bandwidth w thus costs O(N^2 w); a dense B gives
-    r0 = 0 and c1 = n - h, the untrimmed products on the same views and bits.
+    ``last`` is U's ``TruncatedMatrix.profile`` of last columns, shifted
+    with each D, so it may run past U's last column.  The corner is
+    -(A^-1[:, r0:] B[r0:, :c1]) D^-1[:c1, :] for r0 the first row of A with
+    last >= h and c1 = min(max last, n - 1) + 1 - h, and zero when no row of
+    A reaches B.  A banded U of bandwidth w thus costs O(N^2 w); a dense B
+    gives r0 = 0 and c1 = n - h, the untrimmed products on the same views
+    and bits.
     """
     n = u.shape[0]
     if n <= _LEAF:
         out[...] = np.linalg.inv(u)
         return
     h = n // 2
-    _invert_upper(u[:h, :h], out[:h, :h])
-    _invert_upper(u[h:, h:], out[h:, h:])
-    b = u[:h, h:]
-    nonzero = b != 0
-    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    _invert_upper(u[:h, :h], out[:h, :h], last[:h])
+    _invert_upper(u[h:, h:], out[h:, h:], last[h:] - h)
+    rows = np.flatnonzero(last[:h] >= h)
     if rows.size == 0:
         return
-    r0, c1 = rows[0], cols[-1] + 1
-    corner = out[:h, r0:h] @ b[r0:, :c1]
+    r0, c1 = rows[0], min(int(last[:h].max()), n - 1) + 1 - h
+    corner = out[:h, r0:h] @ u[r0:h, h : h + c1]
     np.matmul(np.negative(corner, out=corner), out[h : h + c1, h:], out=out[:h, h:])
 
 
-def _inverse(e: np.ndarray) -> np.ndarray:
+def _inverse(m: TruncatedMatrix) -> np.ndarray:
     """E^-1, for the dual and for the inverse-decay check: the one inverse of a system.
 
-    An upper triangular E of dtype float or complex is inverted by
-    ``_invert_upper``; a lower triangular one as the transpose of the
-    inverse of E^T.  Any other E goes to ``np.linalg.inv`` whole, so its
-    bits are those of the LU.  Which path runs depends on E's dtype and
-    zero pattern alone: a tridiagonal E leaves each triangularity test
-    after its first block of rows.
+    Triangularity is read off E's ``profile``.  An upper triangular E (no
+    row's first non-zero left of the diagonal) of dtype float or complex is
+    inverted by ``_invert_upper``; a lower triangular one (no row's last
+    non-zero right of it) as the transpose of the inverse of E^T.  Any other
+    E goes to ``np.linalg.inv`` whole, so its bits are those of the LU.
+    Which path runs depends on E's dtype and zero pattern alone.
     """
+    e = m.entries
     if e.dtype in _BLOCKED_DTYPES:
-        for u in (e, e.T):
-            if _is_upper_triangular(u):
-                out = np.zeros_like(u)
-                _invert_upper(u, out)
-                return out if u is e else out.T
+        first, last = m.profile
+        diagonal = np.arange(m.n)
+        if np.all(first >= diagonal):
+            out = np.zeros_like(e)
+            _invert_upper(e, out, last)
+            return out
+        if np.all(last <= diagonal):
+            return _inverse(TruncatedMatrix(e.T)).T
     return np.linalg.inv(e)
 
 
@@ -473,7 +465,7 @@ class FrameSystem:
             _prove_full_rank_from_diagonal(self.matrix) or _certify_full_rank(self.coeffs)
         ):
             _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
-        inverse = _inverse(self.matrix)
+        inverse = _inverse(self.coeffs)
         dual = (np.conjugate(inverse, out=inverse) if np.iscomplexobj(inverse) else inverse).T
         return FrameSystem(
             TruncatedMatrix(dual, margin=self.coeffs.margin),
@@ -840,7 +832,7 @@ def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDe
     so a report whose ``gamma1_pred`` is not positive raises ValueError.
     """
     env = DecayEnvelope("jaffard", gamma=report.gamma1_pred, beta=report.beta, c=report.c_inv_pred)
-    inv = _inverse(a.entries)
+    inv = _inverse(a)
     inv_mat = TruncatedMatrix(inv, margin=a.margin)
     w = inv_mat.window
     sub = np.abs(inv[w, w])
@@ -867,21 +859,17 @@ class OperatorNormReport:
 def _schur_bounds(mat: np.ndarray, log_w: np.ndarray, p: float, spans=None) -> tuple[float, float, float]:
     """Schur bounds of B = D |conj(E)| D^-1, G^T = D |E^T| D^-1 and of G^T B >= |D S D^-1|, D = diag(e^log_w).
 
-    Both factors are formed from one block of moduli per block of rows,
+    Both factors come from ``_scaled_abs_blocks``, block by block of rows,
     over the block's column range in ``spans`` when given.  The product is
     never formed: its row sums are G^T (B 1) and its column sums (G 1)^T B,
     and a block's rows of B 1 and G 1 are in hand with the block.
     """
-    with np.errstate(over="ignore"):
-        ew, einv = np.exp(log_w), np.exp(-log_w)
     b_rows, g_rows = np.empty(mat.shape[0]), np.empty(mat.shape[0])
     b_cols, g_cols, s_rows, s_cols = np.zeros((4, mat.shape[1]))
-    for i, start in enumerate(range(0, mat.shape[0], _ROW_BLOCK)):
-        rows, cols = slice(start, start + _ROW_BLOCK), slice(*spans[i]) if spans else slice(None)
-        m = mat[rows, cols]
-        mod = np.abs(m)
-        b, b_rows[rows] = _scaled_abs_block(m, mod, log_w[rows], log_w[cols], ew[rows], einv[cols], np.sum)
-        g, g_rows[rows] = _scaled_abs_block(m, mod, -log_w[rows], -log_w[cols], einv[rows], ew[cols], np.sum, out=mod)
+    blocks = zip(_scaled_abs_blocks(mat, log_w, log_w, np.sum, spans),
+                 _scaled_abs_blocks(mat, -log_w, -log_w, np.sum, spans))
+    for (rows, cols, b, b_sums), (_, _, g, g_sums) in blocks:
+        b_rows[rows], g_rows[rows] = b_sums, g_sums
         with np.errstate(over="ignore", invalid="ignore"):
             b_cols[cols] += b.sum(axis=0)
             g_cols[cols] += g.sum(axis=0)
@@ -905,7 +893,7 @@ def weighted_operator_norms(e: FrameSystem, w: Weight, p: float, loc_beta: float
     operator of the canonical dual: it runs from 1 / (the dual's Schur
     bound) up to the least unit-vector ratio of S.  Both ends read the
     same scaled moduli |m_ij| e^{l_i - l_j}, l = log w, formed in blocks of
-    rows over their spans (``weights._scaled_abs_block``): a ratio is the
+    rows over their spans (``weights._scaled_abs_blocks``): a ratio is the
     l^p norm of one row of them, and the Schur bounds sum them.  The ratios
     are attained values, computed in product form: within a few ulp while
     the weights stay in the double range, past it within a few |log B_ij|

@@ -59,14 +59,14 @@ class Weight:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind == "moderate":
-            if self.k < 0:
+            if not self.k >= 0:
                 raise ValueError("moderate weight needs k >= 0")
         else:
             if not 0.0 < self.beta <= 1.0:
                 raise ValueError("weight beta must lie in (0, 1]")
-            if self.gamma <= 0:
+            if not self.gamma > 0:
                 raise ValueError("(sub-)exponential weight needs gamma > 0")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("declared constant c must be positive")
 
     @property
@@ -165,42 +165,48 @@ def _log_grading(n, family: str, k: float, beta: float = 1.0) -> np.ndarray:
     return k * n ** beta
 
 
-# Every row-blocked pass (the row norms here; in ``envelopes`` the scaled sums
-# and per-distance maxima; in ``frames`` the Schur bounds of the weighted norms,
-# the example's trial vectors and the decay sentinel's maximum; in ``matio`` the
-# CSV reader) takes at most this many rows at a time, so its block arrays stay
-# small beside N x N (at N = 512 ``weighted_operator_norms`` peaks at 2.06 N^2
-# doubles, dual solve included).
+# Every row-blocked pass takes at most this many rows at a time, so its block
+# arrays stay small beside N x N: the non-zero profile and the products over
+# spans (``envelopes``, ``frames``), the scaled-moduli blocks below and every
+# pass over them, the per-distance maxima, the decay sentinel, the example's
+# trial vectors and the CSV reader (``matio``).  At N = 512 the weighted norms of
+# I + 0.5 S (sub-exponential weight) peak at 2.20 N^2 doubles, dual included.
 _ROW_BLOCK = 128
 
 
-def _scaled_abs_block(m: np.ndarray, mod: np.ndarray, r: np.ndarray, c: np.ndarray, er: np.ndarray, ec: np.ndarray,
-                      reduce, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """B = |m_ij| e^{r_i} e^{-c_j} for a block of rows m with moduli ``mod``, and ``reduce(B, axis=1)``.
+def _scaled_abs_blocks(m: np.ndarray, r: np.ndarray, c: np.ndarray, reduce, spans=None):
+    """For each block of ``_ROW_BLOCK`` rows of m, yield (rows, cols, B, reduce(B, axis=1)), B = |m_ij| e^{r_i - c_j}.
 
-    ``er`` and ``ec`` are e^r and e^-c, and B is written to ``out``, which
-    may be ``mod`` itself (default: a new array).  B is formed as the plain
-    product; a cell where that is not finite (a factor overflowed, or
-    inf * 0) is recomputed as exp(log|m_ij| + (r_i - c_j)), so an entry
-    past the double range is inf.  The nearly cancelling r_i - c_j is taken
-    first, so the cell is within a few |log B_ij| eps relative, the error
-    of exp at its own argument, however large r_i and c_j are.  A
-    non-finite cell makes its row's sum or maximum non-finite, so cells are
-    searched only when a reduced value is, and then reduced again.
+    B covers whole rows, or each block's column range in ``spans``
+    (``TruncatedMatrix.spans``) when given, so w bands cost O(N (w + b)) for
+    blocks of b rows.  B is a new array, the plain product of the moduli (as
+    doubles), e^r and e^-c; a cell where that is not finite (a factor
+    overflowed, or inf * 0) is recomputed as exp(log|m_ij| + (r_i - c_j)),
+    so an entry past the double range is inf.  The nearly cancelling
+    r_i - c_j is taken first, so the cell is within a few |log B_ij| eps
+    relative, the error of exp at its own argument, however large r_i and
+    c_j are.  Cells are searched only when a reduced value is not finite,
+    and then reduced again.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        block = np.multiply(mod, er[:, None], out=out)
-        block *= ec
-        reduced = reduce(block, axis=1)
-        if not np.isfinite(reduced).all():
-            i, j = np.nonzero(~np.isfinite(block))
-            block[i, j] = np.exp(np.log(np.abs(m[i, j])) + (r[i] - c[j]))
+    with np.errstate(over="ignore"):
+        er, ec = np.exp(r), np.exp(-c)
+    for i, start in enumerate(range(0, m.shape[0], _ROW_BLOCK)):
+        rows, cols = slice(start, start + _ROW_BLOCK), slice(*spans[i]) if spans else slice(None)
+        sub = m[rows, cols]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            block = np.abs(sub, dtype=float)
+            block *= er[rows, None]
+            block *= ec[cols]
             reduced = reduce(block, axis=1)
-    return block, reduced
+            if not np.isfinite(reduced).all():
+                bi, bj = np.nonzero(~np.isfinite(block))
+                block[bi, bj] = np.exp(np.log(np.abs(sub[bi, bj])) + (r[rows][bi] - c[cols][bj]))
+                reduced = reduce(block, axis=1)
+        yield rows, cols, block, reduced
 
 
 def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float) -> np.ndarray:
-    """The l^p norm of each row of B = |m_ij| e^{r_i - c_j}, formed by ``_scaled_abs_block``.
+    """The l^p norm of each row of B = |m_ij| e^{r_i - c_j}, formed by ``_scaled_abs_blocks``.
 
     A row with peak b reduces to b at p = inf, to its sum at p = 1 and to
     b (sum_j (B_ij / b)^p)^(1/p) otherwise; a row with an entry past the
@@ -219,12 +225,7 @@ def _scaled_abs_row_norms(m: np.ndarray, r: np.ndarray, c: np.ndarray, p: float)
     out = np.zeros(m.shape[0])
     if m.shape[1] == 0:
         return out
-    with np.errstate(over="ignore"):
-        er, ec = np.exp(r), np.exp(-c)
-    for start in range(0, m.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        mod = np.abs(m[rows], dtype=float)
-        block, peaks = _scaled_abs_block(m[rows], mod, r[rows], c, er[rows], ec, np.max, out=mod)
+    for rows, _, block, peaks in _scaled_abs_blocks(m, r, c, np.max):
         with np.errstate(over="ignore"):
             if p == math.inf:
                 out[rows] = peaks

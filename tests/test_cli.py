@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +317,7 @@ def test_jaffard_on_a_tridiagonal_matrix_keeps_the_lu_inverse(tmp_path, monkeypa
 
     monkeypatch.setattr(frames, "_invert_upper", blocked)
     assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "inverse")]) == 0
-    monkeypatch.setattr(frames, "_inverse", np.linalg.inv)
+    monkeypatch.setattr(frames, "_inverse", lambda m: np.linalg.inv(m.entries))
     assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "lu")]) == 0
     assert (tmp_path / "inverse" / "jaffard.json").read_bytes() == (tmp_path / "lu" / "jaffard.json").read_bytes()
 
@@ -823,6 +824,13 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
         ("report", dict(SMALL_REPORT, levels=[])),
         ("report", dict(SMALL_REPORT, checkpoints=[16.5])),
         ("fit", {"matrix": "MATRIX", "betas": []}),
+        ("report", dict(SMALL_REPORT, weight={"kind": "bogus"})),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "order": 1.0})),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": "x"})),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": math.nan})),
+        ("report", dict(SMALL_REPORT, weight="moderate")),
+        ("dual", {"spec": SPEC, "n": 32, "weight": {"kind": "bogus"}}),
+        ("fframe", {"spec": SPEC, "n": 32, "weight": {"kind": "moderate", "k": "x"}}),
     ],
 )
 def test_malformed_config_value_exit_2(tmp_path, capsys, command, payload):
@@ -918,3 +926,54 @@ def test_subcommands_load_scipy_special_only_where_they_call_it(tmp_path):
         argv = [sys.executable, "-c", STARTUP_CHILD, json.dumps(runs), str(tmp_path / "out"), loaded]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("gamma", [math.nan, -1.0])
+def test_report_with_a_nan_or_negative_gamma_fails_the_envelope_chain(tmp_path, gamma):
+    cfg = write_config(tmp_path, "r.json", dict(SMALL_REPORT, gamma=gamma))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 1
+    text = (tmp_path / "report.json").read_text()
+    assert json.loads(text)["steps"]["envelope_chain"] == {"status": "fail", "error": "gamma must be positive"}
+    assert "nan" not in text
+
+
+def _count_profile_scans(monkeypatch) -> list:
+    """Patch ``TruncatedMatrix.profile`` to record the entries of every matrix it scans."""
+    scanned, scan = [], TruncatedMatrix.profile.func
+
+    def recording(self):
+        scanned.append(self.entries)
+        return scan(self)
+
+    prop = cached_property(recording)
+    prop.__set_name__(TruncatedMatrix, "profile")
+    monkeypatch.setattr(TruncatedMatrix, "profile", prop)
+    return scanned
+
+
+def test_each_matrix_has_its_non_zeros_scanned_once(tmp_path, monkeypatch):
+    n = 256
+    e = np.eye(n) + 0.5 * np.eye(n, k=1)
+    scanned = _count_profile_scans(monkeypatch)
+    cfg = write_config(tmp_path, "r.json", dict(SMALL_REPORT, n=n, levels=[0, 1],
+                                                 weight={"kind": "subexponential", "beta": 0.5, "gamma": 1.0}))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "report"), "--no-timestamp"]) == 0
+    assert len(scanned) == 2  # E, then its dual
+    assert np.array_equal(scanned[0], e) and np.allclose(scanned[1], np.linalg.inv(e).T, rtol=0, atol=1e-12)
+
+    scanned.clear()
+    spec = {"r": 2, "eps": [0.3, 0.2], "a": [[[0.2, 0.1]] * n, [[0.1, -0.05]] * n]}  # complex [re, im] pairs
+    gen = write_config(tmp_path, "g.json", {"spec": spec, "n": n, "label": "e"})
+    assert main(["gen", "--config", gen, "--out", str(tmp_path)]) == 0
+    assert scanned == []
+    dual = write_config(tmp_path, "d.json", {"matrix": str(tmp_path / "e.csv")})
+    assert main(["dual", "--config", dual, "--out", str(tmp_path / "dual")]) == 0
+    assert len(scanned) == 1 and scanned[0][0, 1] == 0.2 + 0.1j
+
+    scanned.clear()
+    a = np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    path = tmp_path / "band.ffmx"
+    save_matrix(path, TruncatedMatrix(a, margin=16), binary=True)
+    jaffard = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": math.log(1 / 0.3)})
+    assert main(["jaffard", "--config", jaffard, "--out", str(tmp_path / "jaffard")]) == 0
+    assert len(scanned) == 1 and np.array_equal(scanned[0], a)  # A, never its LU inverse

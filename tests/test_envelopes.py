@@ -87,6 +87,24 @@ def test_envelope_validation():
         DecayEnvelope("colrow_subexp", beta=2.0)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("poly_star", "gamma"), ("poly_dstar", "gamma"), ("poly_tstar", "gamma"), ("jaffard", "gamma"),
+    ("jaffard", "beta"), ("colrow_subexp", "beta"), ("subexp_split", "beta"),
+    ("colrow_poly", "gamma0"), ("colrow_subexp", "gamma0"), ("eq_newdecay", "gamma0"), ("grdecay", "gamma0"),
+    ("colrow_poly", "gamma1"), ("subexp_split", "gamma1"), ("grdecay", "gamma1"),
+    ("eq_newdecay", "eps"), ("grdecay", "eps"), ("subexp_split", "eps"),
+    ("jaffard", "c"), ("colrow_poly", "c0"), ("colrow_poly", "c1"),
+])
+def test_envelope_rejects_a_nan_rate_or_constant(kind, field):
+    with pytest.raises(ValueError):
+        DecayEnvelope(kind, **{field: math.nan})
+
+
+def test_implication_chain_rejects_a_nan_rate():
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        check_implication_chain(TruncatedMatrix(np.eye(32)), math.nan)
+
+
 def test_membership_identity_under_jaffard():
     a = TruncatedMatrix(np.eye(64))
     for gamma, beta in [(0.5, 1.0), (2.0, 0.5)]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from frameforge import envelopes, frames, weights
+from frameforge import envelopes, frames, graded, weights
 from frameforge.envelopes import DecayEnvelope, TruncatedMatrix, envelope_value, fit_decay, p_series, schur_bound
 from frameforge.frames import (
     FrameSystem,
@@ -909,7 +909,7 @@ def test_one_entry_off_the_triangle_takes_the_lu(i, j, lower):
     e[i, j] = 0.01
     if lower:
         e = e.T.copy()
-    assert frames._inverse(e).tobytes() == np.linalg.inv(e).tobytes()
+    assert frames._inverse(TruncatedMatrix(e)).tobytes() == np.linalg.inv(e).tobytes()
 
 
 @pytest.mark.parametrize("cplx", [False, True])
@@ -938,7 +938,7 @@ def untrimmed_invert_upper(u, out):
 
 def trimmed_and_untrimmed_inverses(u):
     got, want = np.zeros_like(u), np.zeros_like(u)
-    frames._invert_upper(u, got)
+    frames._invert_upper(u, got, TruncatedMatrix(u).profile[1])
     untrimmed_invert_upper(u, want)
     return got, want
 
@@ -967,7 +967,7 @@ def test_trimmed_inverse_of_a_block_diagonal_matrix_is_the_block_inverses(cplx):
     u = dense_upper(n, cplx, 9)
     u[:h, h:] = 0.0
     got = np.zeros_like(u)
-    frames._invert_upper(u, got)
+    frames._invert_upper(u, got, TruncatedMatrix(u).profile[1])
     assert not got[:h, h:].any()
     for block in (slice(0, h), slice(h, n)):
         want = np.zeros_like(u[block, block])
@@ -1405,3 +1405,92 @@ def test_spans_run_from_the_first_to_the_last_non_zero_of_each_block():
     assert rows[1] == (0, 0)  # the zeroed block
     dense = TruncatedMatrix(np.ones((n, n))).spans
     assert dense == (((0, n),) * 3, ((0, n),) * 3)
+
+
+# ------------------------------------------------------------ non-zero profile
+# TruncatedMatrix.profile holds each row's first and last non-zero column; the
+# spans and the triangularity tests of the inverse are read off it.
+
+
+def exact_spans(m):
+    """Per block of rows the exact range of columns holding a non-zero, per block of columns the rows."""
+    step = weights._ROW_BLOCK
+
+    def extent(mask):
+        nz = np.flatnonzero(mask)
+        return (nz[0], nz[-1] + 1) if nz.size else (0, 0)
+
+    starts = range(0, m.shape[0], step)
+    return (tuple(extent(m[s : s + step].any(axis=0)) for s in starts),
+            tuple(extent(m[:, s : s + step].any(axis=1)) for s in starts))
+
+
+def gap_covers_a_block(m):
+    """Whether some row has no non-zero in a whole block of columns that lies between two of its non-zeros."""
+    for row in m:
+        nz = np.flatnonzero(row)
+        for s in range(0, m.shape[1], weights._ROW_BLOCK):
+            stop = min(s + weights._ROW_BLOCK, m.shape[1])
+            if nz.size and nz[0] < s and nz[-1] >= stop and not row[s:stop].any():
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400), bands=_BANDS, cplx=st.booleans(), zero_block=st.booleans(),
+       far=st.lists(st.tuples(st.integers(0, 399), st.integers(0, 399), st.integers(0, 399)), max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=400, bands=(0, 0), cplx=False, zero_block=False, far=[(5, 0, 399)], seed=1)  # a gap of whole blocks
+@example(n=300, bands=(0, 300), cplx=True, zero_block=True, far=[], seed=2)  # upper triangular
+@example(n=300, bands=(300, 0), cplx=False, zero_block=False, far=[], seed=3)  # lower triangular
+@example(n=257, bands=(1, 1), cplx=False, zero_block=False, far=[(0, 0, 200)], seed=4)
+def test_profile_and_spans_hold_every_non_zero(n, bands, cplx, zero_block, far, seed):
+    rng = np.random.default_rng(seed)
+    m = _banded(rng, n, *bands, cplx, zero_block)
+    for i, a, b in far:  # rows with two far-apart non-zeros
+        m[i % n] = 0.0
+        m[i % n, [a % n, b % n]] = 1.0
+    first, last = TruncatedMatrix(m).profile
+    for i, row in enumerate(m):
+        nz = np.flatnonzero(row)
+        assert (first[i], last[i]) == ((nz[0], nz[-1]) if nz.size else (n, -1))
+    rows, cols = TruncatedMatrix(m).spans
+    step = weights._ROW_BLOCK
+    for i, j in zip(*np.nonzero(m)):
+        assert rows[i // step][0] <= j < rows[i // step][1] and cols[j // step][0] <= i < cols[j // step][1]
+    gap = gap_covers_a_block(m)
+    event(f"gap covers a block: {gap}")
+    if not gap:
+        assert (rows, cols) == exact_spans(m)
+    diagonal = np.arange(n)
+    assert bool(np.all(first >= diagonal)) == np.array_equal(m, np.triu(m))
+    assert bool(np.all(last <= diagonal)) == np.array_equal(m, np.tril(m))
+
+
+def test_spans_over_a_gap_of_whole_blocks_cover_the_gap():
+    # row 5 holds non-zeros in columns 0 and 399 only: the profile cannot see the
+    # gap, so the middle column blocks' row ranges reach row 5, a superset
+    m = np.eye(400)
+    m[5] = 0.0
+    m[5, [0, 399]] = 1.0
+    spans, exact = TruncatedMatrix(m).spans, exact_spans(m)
+    assert spans[0] == exact[0]
+    assert spans[1][1] == (5, 256) and exact[1][1] == (128, 256)
+
+
+def test_integer_and_boolean_matrices_give_the_values_of_the_float_matrix():
+    ints = np.eye(16, dtype=int) + np.eye(16, k=1, dtype=int)
+    ref = TruncatedMatrix(ints.astype(float))
+    env = DecayEnvelope("grdecay", gamma1=1.0, eps=0.5, c=8.0)
+    weight = Weight("moderate", k=1.0)
+
+    def values(m):
+        system = FrameSystem(m)
+        return (envelopes.schur_bound(m, 2.0), canonical_dual(system).matrix.tobytes(),
+                graded.fframe_bounds(system, "poly", 1.0), weighted_operator_norms(system, weight, 2),
+                envelopes.verify_fixed_level_continuity(m, env))
+
+    for entries in (ints, ints.astype(bool)):
+        m = TruncatedMatrix(entries)
+        assert m.entries.dtype == np.float64
+        assert values(m) == values(ref)

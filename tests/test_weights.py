@@ -52,6 +52,13 @@ def test_weight_validation():
         Weight("exponential", gamma=0.0)
 
 
+@pytest.mark.parametrize("kind, field", [("moderate", "k"), ("moderate", "c"), ("subexponential", "beta"),
+                                         ("subexponential", "gamma"), ("exponential", "gamma")])
+def test_weight_rejects_a_nan_parameter(kind, field):
+    with pytest.raises(ValueError):
+        Weight(kind, **{field: math.nan})
+
+
 def test_admissibility_moderate_is_submultiplicative():
     # (1 + |t+x|) <= (1 + |t|)(1 + |x|) makes the constant at most 1
     w = Weight("moderate", k=3)
