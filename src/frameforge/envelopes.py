@@ -524,11 +524,11 @@ def p_series(gamma: float, beta: float, tol: float = 1e-12) -> float:
     in double precision, such as beta = 1e-300 (j^beta rounds to 1), gives
     no finite value: its tail integral is inf.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     total = 1.0  # j = 0 term
     carry = 0.0
@@ -577,7 +577,7 @@ def convolution_constant(gamma: float, beta: float, n: int) -> float:
     """
     if n < 16:
         raise ValueError("need N >= 16")
-    if gamma <= 0 or not 0.0 < beta <= 1.0:
+    if not gamma > 0 or not 0.0 < beta <= 1.0:
         raise ValueError("need gamma > 0 and beta in (0, 1]")
     idx = np.arange(1, n + 1, dtype=float)
     dist = np.abs(idx[:, None] - idx[None, :]) ** beta
@@ -602,7 +602,7 @@ def product_envelope(
     same formula applies with gap ``gamma_a - gamma_target``.
     Returns ``(predicted constant, product rate)``.
     """
-    if gamma_a <= 0 or gamma_b <= 0:
+    if not (gamma_a > 0 and gamma_b > 0):
         raise ValueError("rates must be positive")
     if gamma_a != gamma_b:
         rate = min(gamma_a, gamma_b)
@@ -610,7 +610,7 @@ def product_envelope(
     else:
         if gamma_target is None:
             raise ValueError("equal rates: supply gamma_target < the common rate")
-        if gamma_target >= gamma_a:
+        if not gamma_target < gamma_a:
             raise ValueError("gamma_target must be strictly below min(gamma_a, gamma_b)")
         rate = gamma_target
         gap = gamma_a - gamma_target
@@ -627,9 +627,9 @@ def poly_continuity_bound(gamma0: float, gamma1: float, eps: float, c0: float, c
     from splitting the sum at the diagonal:
     ``K = c1 * sum n^-(gamma0+1+eps) + c0 * sum n^-(1+eps)``.
     """
-    if gamma0 < 0 or gamma1 <= 0 or not 0 < eps < 1:
+    if not (gamma0 >= 0 and gamma1 > 0 and 0 < eps < 1):
         raise ValueError("need gamma0 >= 0, gamma1 > 0, eps in (0, 1)")
-    if c0 < 0 or c1 < 0:
+    if not (c0 >= 0 and c1 >= 0):
         raise ValueError("constants must be nonnegative")
     total = 0.0
     if c1 > 0:
@@ -650,9 +650,9 @@ def subexp_continuity_bound(
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
-    if gamma0 < 0 or gamma1 <= 0 or not 0 < eps < 1:
+    if not (gamma0 >= 0 and gamma1 > 0 and 0 < eps < 1):
         raise ValueError("need gamma0 >= 0, gamma1 > 0, eps in (0, 1)")
-    if c0 < 0 or c1 < 0:
+    if not (c0 >= 0 and c1 >= 0):
         raise ValueError("constants must be nonnegative")
     total = 0.0
     if c1 > 0:

@@ -9,7 +9,8 @@ frame-theoretic operation becomes linear algebra on E:
 * the same on a block of rows F:    ``F @ conj(E).T`` and ``F @ E``
 * frame operator on coordinates:    ``E.T @ conj(E)``
 * canonical dual system:            rows of ``E @ (E^H E)^{-1} = E^{-H}``,
-  from one inverse of E: by 2 x 2 block products when E is triangular
+  from one inverse of E: by 2 x 2 block products when E is triangular,
+  by elimination within the band when E is narrowly banded
 
 Every product with E (Gram matrices included) and every pass over the scaled
 moduli of E or of its dual reads each block of ``_ROW_BLOCK`` rows or columns
@@ -26,13 +27,17 @@ identity I + sum_i a_i S^i, is inverted through
 blocks of at most ``_LEAF`` = 64 rows that go to LAPACK's LU, with the corner
 products cut to the rows and columns of B that the profile reaches; a lower
 triangular E, read off the profile too, through its transpose.  Any other E
-takes the LU whole.  The inverse-decay check reads the same inverse.  The Gram matrix E^H E is
-formed for its eigenvalues (the frame bounds, and the rank rule wherever
-they are computed anyway); it is not kept.  When no eigenvalue is asked
-for, the dual's rank rule is first tried on a Gershgorin-type bound read
-off E's diagonal in O(N^2), which proves full rank for diagonally
-dominant systems, then on one shifted Cholesky of E^H E, which needs no
-structure.
+whose lower and upper bandwidths p and q (off the profile) are narrow for
+its size, such as a tridiagonal E from N = 512 on, is inverted by Gaussian
+elimination with partial pivoting confined to the band, in O(N^2 (p + q))
+flops (``_invert_banded``, the method of LAPACK's ``gbtrf``/``gbtrs``); every
+other E takes the LU whole.  The inverse-decay check reads the same
+inverse.  The Gram matrix E^H E is formed for its eigenvalues (the frame
+bounds, and the rank rule wherever they are computed anyway); it is not
+kept.  When no eigenvalue is asked for, the dual's rank rule is first tried
+on a Gershgorin-type bound read off E's diagonal in O(N^2), which proves
+full rank for diagonally dominant systems, then on one shifted Cholesky of
+E^H E, which needs no structure.
 
 The reference basis is the Hermite basis throughout; a general Riesz
 reference is obtained by composing coefficient matrices.
@@ -272,6 +277,20 @@ _LEAF = 64
 _BLOCKED_DTYPES = (np.dtype(float), np.dtype(complex))
 
 
+def _narrow_band(n: int, p: int, q: int) -> bool:
+    """Whether ``_invert_banded`` is faster than the LU for size N, lower bandwidth p and upper bandwidth q.
+
+    The elimination costs O(N^2 (p+q)) flops plus O(N p (p+q)) interpreted
+    steps, the LU O(N^3), so the ratio of their times follows (p+q)/N once
+    N is large.  Measured in process with 2 BLAS threads on N in {256, 512,
+    1024, 2048} and p+q in {2, 4, 8, 16, 32}: at N = 256 the elimination
+    loses at every real width (a complex band wins narrowly up to p+q = 4
+    and is left to the LU); real and complex, it wins up to p+q = 8 at
+    N = 512, 16 at N = 1024 and 32 at N = 2048.
+    """
+    return n >= 512 and 64 * (p + q) <= n
+
+
 def _invert_upper(u: np.ndarray, out: np.ndarray, last: np.ndarray) -> None:
     """Write the inverse of the upper triangular U into ``out``, whose part below the diagonal is zero.
 
@@ -307,15 +326,74 @@ def _invert_upper(u: np.ndarray, out: np.ndarray, last: np.ndarray) -> None:
     np.matmul(np.negative(corner, out=corner), out[h : h + c1, h:], out=out[:h, h:])
 
 
+def _invert_banded(e: np.ndarray, p: int, q: int) -> np.ndarray:
+    """E^-1 for an E with lower bandwidth p and upper bandwidth q, by Gaussian elimination confined to the band.
+
+    LAPACK's ``gbtrf``/``gbtrs`` in three passes:
+
+    1. Elimination with partial pivoting on the band, in Python scalars: at
+       column k the pivot is the largest modulus among rows k..k+p, the
+       first on a tie; after the swap, rows k+1..k+p lose their column k.
+       U then has upper bandwidth p+q, and the pass costs O(N p (p+q)).
+    2. The identity, swept through the recorded swaps and multipliers,
+       becomes L^-1 P.  Before step k only rows up to k-1+p have been
+       mixed, starting from unit rows, so the rows of step k hold no
+       column past k+p, and each row operation stops there.
+    3. Back substitution by U: row k of E^-1 is row k of L^-1 P less one
+       product of at most p+q rows below it, divided by u_kk.
+
+    O(N^2 (p+q)) flops and no N x N array besides the result.  The growth
+    factor of banded partial pivoting is at most 2^(2p-1) - (p-1) 2^(p-2)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 9),
+    so the error is of the order of the LU's.  An exact zero pivot raises
+    ``np.linalg.LinAlgError("Singular matrix")``, as ``np.linalg.inv`` does.
+    """
+    n, w = e.shape[0], p + q
+    band = np.zeros((n, 2 * p + q + 1), dtype=e.dtype)  # row i holds columns i - p .. i + p + q
+    for d in range(-p, q + 1):
+        band[max(-d, 0) : n - max(d, 0), p + d] = e.diagonal(d)
+    rows, steps = band.tolist(), []
+    for k in range(n):
+        last, span = min(k + p, n - 1), min(w, n - 1 - k) + 1  # column k of row i is rows[i][k - i + p]
+        r = max(range(k, last + 1), key=lambda i: abs(rows[i][k - i + p]))
+        top, other, o = rows[k], rows[r], k - r + p
+        top[p : p + span], other[o : o + span] = other[o : o + span], top[p : p + span]
+        if top[p] == 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        multipliers = []
+        for i in range(k + 1, last + 1):
+            row, o = rows[i], k - i + p
+            l = row[o] / top[p]
+            for c in range(1, span):
+                row[o + c] -= l * top[p + c]
+            multipliers.append(l)
+        steps.append((r, multipliers))
+    out = np.eye(n, dtype=e.dtype)
+    for k, (r, multipliers) in enumerate(steps):
+        reach = min(k + p + 1, n)
+        if r != k:
+            out[[k, r], :reach] = out[[r, k], :reach]
+        if multipliers:
+            out[k + 1 : k + 1 + len(multipliers), :reach] -= np.multiply.outer(multipliers, out[k, :reach])
+    u = np.array([row[p : p + w + 1] for row in rows], dtype=e.dtype)
+    for k in range(n - 1, -1, -1):
+        stop = min(k + w + 1, n)
+        out[k] -= u[k, 1 : stop - k] @ out[k + 1 : stop]
+        out[k] /= u[k, 0]
+    return out
+
+
 def _inverse(m: TruncatedMatrix) -> np.ndarray:
     """E^-1, for the dual and for the inverse-decay check: the one inverse of a system.
 
-    Triangularity is read off E's ``profile``.  An upper triangular E (no
-    row's first non-zero left of the diagonal) of dtype float or complex is
-    inverted by ``_invert_upper``; a lower triangular one (no row's last
-    non-zero right of it) as the transpose of the inverse of E^T.  Any other
-    E goes to ``np.linalg.inv`` whole, so its bits are those of the LU.
-    Which path runs depends on E's dtype and zero pattern alone.
+    Triangularity and the bandwidths are read off E's ``profile``.  An upper
+    triangular E (no row's first non-zero left of the diagonal) of dtype
+    float or complex is inverted by ``_invert_upper``; a lower triangular
+    one (no row's last non-zero right of it) as the transpose of the inverse
+    of E^T.  Any other such E whose band is narrow for its size, by the
+    rule of ``_narrow_band``, is inverted by ``_invert_banded``.  Every
+    other E goes to ``np.linalg.inv`` whole, so its bits are those of the
+    LU.  Which path runs depends on E's dtype and zero pattern alone.
     """
     e = m.entries
     if e.dtype in _BLOCKED_DTYPES:
@@ -327,6 +405,9 @@ def _inverse(m: TruncatedMatrix) -> np.ndarray:
             return out
         if np.all(last <= diagonal):
             return _inverse(TruncatedMatrix(e.T)).T
+        p, q = int(np.max(diagonal - first)), int(np.max(last - diagonal))
+        if _narrow_band(m.n, p, q):
+            return _invert_banded(e, p, q)
     return np.linalg.inv(e)
 
 
@@ -458,7 +539,8 @@ class FrameSystem:
         E alone.  The dual itself is solved from E, not from E^H E, by
         ``_inverse``: a triangular E through the block identity
         [A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1] down to blocks of at
-        most ``_LEAF`` rows, any other E by one LU.  The inverse is
+        most ``_LEAF`` rows, a narrowly banded E by elimination within its
+        band, any other E by one LU.  The inverse is
         conjugated in place and transposed, with no further N x N copy.
         """
         if "gram_eigenvalues" in self.__dict__ or not (
@@ -758,7 +840,7 @@ def jaffard_predict(
     (the matrix is singular at this truncation) or the declared rate
     makes the split degenerate.
     """
-    if gamma <= 0 or not 0.0 < beta <= 1.0:
+    if not gamma > 0 or not 0.0 < beta <= 1.0:
         raise ValueError("need gamma > 0 and beta in (0, 1]")
     if not 0.0 < eps_free < 1.0:
         raise ValueError("eps_free must lie in (0, 1)")
@@ -825,7 +907,8 @@ def verify_inverse_decay(a: TruncatedMatrix, report: JaffardReport) -> InverseDe
     """Entrywise check of |A^{-1}| <= C_inv e^{-gamma1 |m-n|^beta} on the window.
 
     The inverse is the dual's (``_inverse``: block products when A is
-    triangular, one LU otherwise, as for a tridiagonal A); also reports the
+    triangular, elimination within the band when A is narrowly banded, such
+    as a tridiagonal A from N = 512 on, one LU otherwise); also reports the
     fitted decay rate of the inverse, which should dominate the predicted
     rate, or the +inf sentinel rate of ``_fit_or_sentinel`` when the
     window is too narrow to fit.  The bound is the ``jaffard`` envelope,

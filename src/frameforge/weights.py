@@ -19,7 +19,8 @@ does.  The graded weights n^k (family ``poly``) and e^{k n^beta}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,7 +47,9 @@ class Weight:
     ``exp(gamma*|x|**beta)`` with ``beta`` in (0, 1], and ``exponential``
     to ``exp(gamma*|x|)``.  ``c`` is the declared constant of the
     translation inequality ``mu(t+x) <= c * envelope(t) * mu(x)``; it is
-    never assumed, only compared against empirical constants.
+    never assumed, only compared against empirical constants.  Every
+    parameter, also one that the kind ignores, must be a finite number: a
+    boolean or a string raises TypeError, an infinity or NaN ValueError.
     """
 
     kind: str
@@ -58,6 +61,16 @@ class Weight:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
+        for field in fields(self)[1:]:  # every number, also one the kind ignores
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"weight {field.name} must be a number, got {value!r}")
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer past the double range
+                finite = False
+            if not finite:
+                raise ValueError(f"weight {field.name} must be finite, got {value!r}")
         if self.kind == "moderate":
             if not self.k >= 0:
                 raise ValueError("moderate weight needs k >= 0")

@@ -322,6 +322,52 @@ def test_jaffard_on_a_tridiagonal_matrix_keeps_the_lu_inverse(tmp_path, monkeypa
     assert (tmp_path / "inverse" / "jaffard.json").read_bytes() == (tmp_path / "lu" / "jaffard.json").read_bytes()
 
 
+def counted_lu(monkeypatch):
+    """Patch np.linalg.inv to record the size of every matrix it inverts; return the list of sizes."""
+    sizes, lu = [], np.linalg.inv
+
+    def counting(m):
+        sizes.append(m.shape[0])
+        return lu(m)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return sizes
+
+
+def test_jaffard_at_n1024_inverts_its_tridiagonal_matrix_by_band_elimination(tmp_path, monkeypatch):
+    # The benchmark's matrix: from N = 512 on a narrow band is eliminated
+    # within the band, and jaffard.json keeps the bits of the LU run.
+    n = 1024
+    path = tmp_path / "band.ffmx"
+    save_matrix(path, TruncatedMatrix(np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1)), margin=64), binary=True)
+    cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": math.log(1 / 0.3)})
+    sizes = counted_lu(monkeypatch)
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "band")]) == 0
+    assert max(sizes, default=0) <= frames._LEAF
+    monkeypatch.setattr(frames, "_inverse", lambda m: np.linalg.inv(m.entries))
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "lu")]) == 0
+    assert sizes[-1] == n
+    assert (tmp_path / "band" / "jaffard.json").read_bytes() == (tmp_path / "lu" / "jaffard.json").read_bytes()
+
+
+def test_dual_of_a_stored_non_triangular_band_takes_the_band_elimination(tmp_path, monkeypatch):
+    # A complex tridiagonal system at N = 512: its dual is E^-H from the band
+    # elimination, within rounding of the LU's.
+    n, rng = 512, np.random.default_rng(12)
+    off = [0.3 * rng.uniform(0.05, 1.0, n - 1) * np.exp(2j * np.pi * rng.uniform(size=n - 1)) for _ in range(2)]
+    path = tmp_path / "band.ffmx"
+    save_matrix(path, TruncatedMatrix(np.eye(n) + np.diag(off[0], 1) + np.diag(off[1], -1)), binary=True)
+    cfg = write_config(tmp_path, "d.json", {"matrix": str(path), "beta": 1.0})
+    sizes = counted_lu(monkeypatch)
+    assert main(["dual", "--config", cfg, "--out", str(tmp_path / "band")]) == 0
+    assert max(sizes, default=0) <= frames._LEAF
+    monkeypatch.setattr(frames, "_inverse", lambda m: np.linalg.inv(m.entries))
+    assert main(["dual", "--config", cfg, "--out", str(tmp_path / "lu")]) == 0
+    assert sizes[-1] == n
+    band, lu = (json.loads((tmp_path / side / "dual.json").read_text())["dual"] for side in ("band", "lu"))
+    assert band == pytest.approx(lu, rel=1e-12, abs=1e-15)
+
+
 def test_jaffard_narrow_window_reports_sentinel_rate(tmp_path):
     # margin 7 at N = 16 leaves a 2 x 2 window: too few distances to fit the inverse's rate
     mat = np.eye(16) + 0.3 * np.eye(16, k=1) + 0.3 * np.eye(16, k=-1)
@@ -829,6 +875,11 @@ SMALL_REPORT = {"spec": SPEC, "n": 32, "levels": [0], "trials": 5, "seed": 1}
         ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": "x"})),
         ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": math.nan})),
         ("report", dict(SMALL_REPORT, weight="moderate")),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": True})),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": 1.0, "beta": "x"})),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": math.inf})),
+        ("report", dict(SMALL_REPORT, weight={"kind": "moderate", "k": 10 ** 400})),
+        ("fframe", {"spec": SPEC, "n": 32, "weight": {"kind": "subexponential", "beta": 0.5, "k": False}}),
         ("dual", {"spec": SPEC, "n": 32, "weight": {"kind": "bogus"}}),
         ("fframe", {"spec": SPEC, "n": 32, "weight": {"kind": "moderate", "k": "x"}}),
     ],

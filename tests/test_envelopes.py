@@ -28,7 +28,7 @@ from frameforge.envelopes import (
     subexp_continuity_bound,
     verify_fixed_level_continuity,
 )
-from frameforge.frames import JaffardReport, verify_inverse_decay
+from frameforge.frames import JaffardReport, jaffard_predict, verify_inverse_decay
 from frameforge.weights import Weight, log_eval_weight, sup_graded_norm, weighted_row_norms
 
 # frozen oracle values (mpmath, 30 digits)
@@ -103,6 +103,29 @@ def test_envelope_rejects_a_nan_rate_or_constant(kind, field):
 def test_implication_chain_rejects_a_nan_rate():
     with pytest.raises(ValueError, match="gamma must be positive"):
         check_implication_chain(TruncatedMatrix(np.eye(32)), math.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p_series(math.nan, 1.0),
+    lambda: p_series(1.0, 1.0, tol=math.nan),
+    lambda: convolution_constant(math.nan, 1.0, 16),
+    lambda: product_envelope(1.0, math.nan, 1.0, 1.0, 1.0),
+    lambda: product_envelope(1.0, 1.0, 1.0, math.nan, 1.0),
+    lambda: product_envelope(1.0, 1.0, 1.0, 1.0, 1.0, gamma_target=math.nan),
+    lambda: poly_continuity_bound(0.0, math.nan, 0.5, 1.0, 1.0),
+    lambda: poly_continuity_bound(math.nan, 1.0, 0.5, 1.0, 1.0),
+    lambda: poly_continuity_bound(0.0, 1.0, 0.5, math.nan, 1.0),
+    lambda: subexp_continuity_bound(0.5, 0.0, math.nan, 0.5, 1.0, 1.0),
+    lambda: subexp_continuity_bound(0.5, math.nan, 1.0, 0.5, 1.0, 1.0),
+    lambda: subexp_continuity_bound(0.5, 0.0, 1.0, 0.5, 1.0, math.nan),
+    lambda: jaffard_predict(TruncatedMatrix(np.eye(16)), 1.0, math.nan),
+], ids=["p_series-gamma", "p_series-tol", "convolution-gamma", "product-gamma_a", "product-gamma_b",
+        "product-target", "poly-gamma1", "poly-gamma0", "poly-c0", "subexp-gamma1", "subexp-gamma0", "subexp-c1",
+        "jaffard-gamma"])
+def test_a_nan_rate_or_constant_fails_the_checks(call):
+    # every check reads "not x > 0": a NaN compares false both ways
+    with pytest.raises(ValueError, match="must|need"):
+        call()
 
 
 def test_membership_identity_under_jaffard():

@@ -923,6 +923,86 @@ def test_dual_of_a_dense_system_keeps_the_lu_bits(cplx):
     assert dual.dtype == want.dtype and dual.tobytes() == want.tobytes()
 
 
+# Banded, non-triangular matrices with p + q <= N / 64 from N = 512 on take the
+# band elimination (``frames._narrow_band``); the tests below run at that size.
+
+
+def no_lu(monkeypatch):
+    def refused(m):
+        raise AssertionError(f"np.linalg.inv called on a {m.shape[0]} x {m.shape[1]} matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", refused)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.45])
+def test_banded_inverse_of_a_tridiagonal_matrix_matches_the_closed_form(monkeypatch, t):
+    n = 512
+    a = tridiagonal(n, off=t)
+    no_lu(monkeypatch)
+    inv = frames._inverse(a)
+    idx = np.arange(1, n + 1, 37)
+    exact = exact_tridiagonal_inverse_abs(t, n, idx)
+    sigma = np.linalg.svd(a.entries, compute_uv=False)
+    err = np.max(np.abs(np.abs(inv[np.ix_(idx - 1, idx - 1)]) - exact)) * sigma[-1]  # relative to ||A^-1|| = 1 / sigma_min
+    assert err <= _dual_error_bound(a.entries, sigma[0] / sigma[-1])
+
+
+def random_band(n, p, q, cplx, swap, seed):
+    """A matrix of lower bandwidth p and upper bandwidth q with condition number below 7.
+
+    T is strictly diagonally dominant, with diagonal moduli in [1.5, 2.5] and
+    off-diagonal row sums below 1, so sigma_min(T) >= 0.5 (Johnson's bound)
+    and ||T|| < 3.5.  With ``swap`` the rows of each pair 2j, 2j+1 of a T
+    with bandwidths p - 1 and q - 1 are exchanged: the diagonal then holds
+    T's small sub- and superdiagonal entries (zeros where p or q is 1),
+    the largest entry of each even column lies below it, and the
+    elimination swaps rows.
+    """
+    rng = np.random.default_rng(seed)
+    lower, upper = (p - 1, q - 1) if swap else (p, q)
+
+    def entries(d, low, high):
+        v = rng.uniform(low, high, n - abs(d)) * rng.choice([-1.0, 1.0], n - abs(d))
+        return v * np.exp(2j * np.pi * rng.uniform(size=n - abs(d))) if cplx else v
+
+    t = np.diag(entries(0, 1.5, 2.5)).astype(complex if cplx else float)
+    for d in range(-lower, upper + 1):
+        if d:
+            t += np.diag(entries(d, 0.5, 1.0) / (p + q), d)
+    if swap:
+        t = t[np.arange(n) ^ 1]
+    return t
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.sampled_from([512, 514]), p=st.integers(1, 4), q=st.integers(1, 4), cplx=st.booleans(),
+       swap=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=512, p=1, q=1, cplx=False, swap=True, seed=None)  # S + S^T: a zero diagonal
+def test_banded_inverse_matches_the_lu(n, p, q, cplx, swap, seed):
+    a = np.eye(n, k=1) + np.eye(n, k=-1) if seed is None else random_band(n, p, q, cplx, swap, seed)
+    (first, last), i = TruncatedMatrix(a).profile, np.arange(n)
+    assert (np.max(i - first), np.max(last - i)) == (p, q) and frames._narrow_band(n, p, q)
+    got, want = frames._invert_banded(a, p, q), np.linalg.inv(a)
+    sigma = np.linalg.svd(a, compute_uv=False)
+    err = np.linalg.norm(got - want) * sigma[-1]  # Frobenius norm of the gap over ||A^-1||_2
+    assert err <= _dual_error_bound(a, sigma[0] / sigma[-1])
+
+
+@pytest.mark.parametrize("n", [513, 1025])
+def test_banded_inverse_of_a_singular_matrix_raises_as_the_lu_does(monkeypatch, n):
+    # S + S^T has the eigenvalue 2 cos(pi / 2) = 0 at odd N; the elimination meets an exact zero pivot
+    a = TruncatedMatrix(np.eye(n, k=1) + np.eye(n, k=-1))
+    no_lu(monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        frames._inverse(a)
+
+
+@pytest.mark.parametrize("n, w, banded", [(511, 2, False), (512, 2, True), (512, 8, True), (512, 9, False),
+                                          (1024, 16, True), (1024, 17, False), (2048, 32, True)])
+def test_narrow_band_rule(n, w, banded):
+    assert frames._narrow_band(n, w // 2, w - w // 2) is banded
+
+
 def untrimmed_invert_upper(u, out):
     """The blocked inverse with full h x h corner products, before they ran over B's non-zeros only."""
     n = u.shape[0]

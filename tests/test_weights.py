@@ -59,6 +59,20 @@ def test_weight_rejects_a_nan_parameter(kind, field):
         Weight(kind, **{field: math.nan})
 
 
+@pytest.mark.parametrize("params", [{"k": True}, {"k": "1"}, {"k": 1.0, "beta": "x"}, {"k": 1.0, "gamma": None},
+                                    {"k": 1.0, "c": False}])
+def test_weight_rejects_a_parameter_that_is_not_a_number(params):
+    with pytest.raises(TypeError, match="must be a number"):
+        Weight("moderate", **params)
+
+
+@pytest.mark.parametrize("params", [{"k": math.inf}, {"k": 10 ** 400}, {"k": 1.0, "gamma": -math.inf},
+                                    {"k": 1.0, "beta": math.nan}])
+def test_weight_rejects_a_parameter_that_is_not_finite(params):
+    with pytest.raises(ValueError, match="must be finite"):
+        Weight("moderate", **params)
+
+
 def test_admissibility_moderate_is_submultiplicative():
     # (1 + |t+x|) <= (1 + |t|)(1 + |x|) makes the constant at most 1
     w = Weight("moderate", k=3)
