@@ -23,12 +23,12 @@ jaffard        c * e^(-g |m-n|^b)
 
 The diagonal n = m always belongs to the decaying branch.
 
-``poly_dstar``, ``grdecay`` and ``jaffard`` depend on (m, n) only through
-d = |m-n|: membership constants and excesses evaluate them once per
-distance of the window, against the largest |A| there, and the other kinds
-at every cell.  A zero entry needs no constant, even where the envelope
-underflows to 0; a non-zero entry there gives +inf.  Decay fits regress
-the log of the same per-distance maxima, dropping those below
+Membership constants and excesses read the window in blocks of
+``_ROW_BLOCK`` rows, each over the columns its non-zeros span
+(``TruncatedMatrix.spans``), and evaluate every kind at those cells.  A
+zero entry needs no constant, even where the envelope underflows to 0; a
+non-zero entry there gives +inf.  Decay fits regress the log of the
+largest |A| at each distance d = |m-n|, dropping those below
 ``UNDERFLOW_FLOOR``: the floor applies to fitting only.
 """
 
@@ -162,6 +162,14 @@ _ENVELOPE_KINDS = (
 )
 
 
+def _check_rate(name: str, value: float, nonnegative: bool = False) -> None:
+    """Raise ValueError unless the rate is positive (or nonnegative) and finite: NaN and +inf fail."""
+    if not (value >= 0 if nonnegative else value > 0):
+        raise ValueError(f"{name} must be {'nonnegative' if nonnegative else 'positive'}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class DecayEnvelope:
     kind: str
@@ -178,18 +186,15 @@ class DecayEnvelope:
         if self.kind not in _ENVELOPE_KINDS:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if self.kind in ("poly_star", "poly_dstar", "poly_tstar", "jaffard"):
-            if not self.gamma > 0:
-                raise ValueError("gamma must be positive")
+            _check_rate("gamma", self.gamma)
         if self.kind in ("jaffard", "colrow_subexp", "subexp_split"):
             if not 0.0 < self.beta <= 1.0:
                 raise ValueError("beta must lie in (0, 1]")
         if self.kind in ("colrow_poly", "colrow_subexp", "eq_newdecay", "subexp_split", "grdecay"):
-            if not self.gamma0 >= 0:
-                raise ValueError("gamma0 must be nonnegative")
-            if not self.gamma1 > 0:
-                raise ValueError("gamma1 must be positive")
-        if self.kind in ("eq_newdecay", "grdecay", "subexp_split") and not self.eps > 0:
-            raise ValueError("eps must be positive")
+            _check_rate("gamma0", self.gamma0, nonnegative=True)
+            _check_rate("gamma1", self.gamma1)
+        if self.kind in ("eq_newdecay", "grdecay", "subexp_split"):
+            _check_rate("eps", self.eps)
         for name in ("c", "c0", "c1"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"constant {name} must be nonnegative")
@@ -208,7 +213,9 @@ def _ratio_form_where_lost(out: np.ndarray, m, n, ratio_form) -> np.ndarray:
     m^-g1 underflows to 0 where the ratio form is still a representable
     double.  Only those cells are recomputed in ratio form; every finite
     non-zero cell keeps its bits.  ``poly_star`` passes (max, min) for
-    (m, n), so that all of its cells are in that branch.
+    (m, n), so that all of its cells are in that branch.  ``subexp_split``'s
+    branch c1 e^{g1 n^b - (g1+eps) m^b} is lost alike once g1 n^b overflows
+    (inf - inf), and is recomputed as c1 e^{g1 (n^b - m^b) - eps m^b}.
     """
     m, n = np.broadcast_arrays(m, n)
     bad = (n <= m) & ((out == 0.0) | ~np.isfinite(out))
@@ -258,30 +265,37 @@ def envelope_value(env: DecayEnvelope, m, n):
     elif k == "grdecay":
         out = env.c * (1.0 + np.abs(m - n)) ** (-env.gamma1 - 1.0 - env.eps)
     elif k == "colrow_subexp":
-        out = np.where(
-            n > m,
-            env.c0 * np.exp(env.gamma0 * n ** env.beta),
-            env.c1 * np.exp(-env.gamma1 * (m ** env.beta - n ** env.beta)),
-        )
+        with np.errstate(over="ignore"):  # an exponent past the double range is +-inf, its exponential inf or 0
+            out = np.where(
+                n > m,
+                env.c0 * np.exp(env.gamma0 * n ** env.beta),
+                env.c1 * np.exp(-env.gamma1 * (m ** env.beta - n ** env.beta)),
+            )
     elif k == "subexp_split":
-        out = np.where(
-            n > m,
-            env.c0 * np.exp(-env.eps * n ** env.beta),
-            env.c1 * np.exp(env.gamma1 * n ** env.beta - (env.gamma1 + env.eps) * m ** env.beta),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.where(
+                n > m,
+                env.c0 * np.exp(-env.eps * n ** env.beta),
+                env.c1 * np.exp(env.gamma1 * n ** env.beta - (env.gamma1 + env.eps) * m ** env.beta),
+            )
+            # once g1 n^b overflows the exponent is inf - inf; the difference form keeps it <= 0
+            out = _ratio_form_where_lost(
+                out, m, n,
+                lambda m, n: env.c1 * np.exp(env.gamma1 * (n ** env.beta - m ** env.beta) - env.eps * m ** env.beta),
+            )
     else:  # jaffard
-        out = env.c * np.exp(-env.gamma * np.abs(m - n) ** env.beta)
+        with np.errstate(over="ignore"):
+            out = env.c * np.exp(-env.gamma * np.abs(m - n) ** env.beta)
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _max_ratio(sub: np.ndarray, vals) -> float:
+def _max_ratio(blocks) -> float:
     # zero entries need no constant even where the envelope underflows;
     # a nonzero entry over an underflowed envelope honestly reports inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(sub == 0.0, 0.0, sub / vals)
-    return float(np.max(ratio))
+        return float(np.max([np.where(sub == 0.0, 0.0, sub / vals).max(initial=0.0) for sub, vals in blocks]))
 
 
 def _distance_maxima(win: np.ndarray) -> np.ndarray:
@@ -310,17 +324,28 @@ def _distance_maxima(win: np.ndarray) -> np.ndarray:
     return out
 
 
-_DISTANCE_KINDS = ("poly_dstar", "grdecay", "jaffard")
+def _envelope_blocks(a: TruncatedMatrix, env: DecayEnvelope, spans=None):
+    """Per block of ``_ROW_BLOCK`` rows meeting a's window, its moduli and the envelope at the same cells.
+
+    A block spans the window's columns, or its range in ``spans`` clipped to them: zeros lie outside.
+    """
+    lo, hi = a.margin, a.n - a.margin
+    if lo >= hi:
+        raise ValueError("interior window is empty")
+    idx = np.arange(1.0, a.n + 1.0)
+    for start in range(lo - lo % _ROW_BLOCK, hi, _ROW_BLOCK):
+        c0, c1 = spans[start // _ROW_BLOCK] if spans else (lo, hi)
+        rows, cols = slice(max(start, lo), min(start + _ROW_BLOCK, hi)), slice(max(c0, lo), min(c1, hi))
+        yield np.abs(a.entries[rows, cols]), envelope_value(env, idx[rows, None], idx[cols])
 
 
 def membership_constant(a: TruncatedMatrix, env: DecayEnvelope) -> float:
     """Smallest constant making |A| <= C * envelope hold on the window.
 
     The envelope's own constants are ignored (set to 1), so the return
-    value is directly comparable across matrices.  ``poly_dstar``,
-    ``grdecay`` and ``jaffard`` are evaluated once per distance |m-n|.  A
-    zero entry counts 0 even over an envelope that underflows to 0, a
-    non-zero one there gives +inf; ``UNDERFLOW_FLOOR`` is not applied.
+    value is directly comparable across matrices.  A zero entry counts 0
+    even over an envelope that underflows to 0, a non-zero one there gives
+    +inf; ``UNDERFLOW_FLOOR`` is not applied.
     """
     return envelope_excess(a, env.unit())
 
@@ -330,16 +355,7 @@ def envelope_excess(a: TruncatedMatrix, env: DecayEnvelope) -> float:
 
     <= 1 means the matrix satisfies the declared envelope there.
     """
-    w = a.window
-    win = a.entries[w, w]
-    if win.size == 0:
-        raise ValueError("interior window is empty")
-    idx = a.window_indices()
-    if env.kind in _DISTANCE_KINDS:
-        # d = |m - n| runs over 0 .. k-1 down the first column; rounded division
-        # by one positive value is monotone, so the largest entry gives the max
-        return _max_ratio(_distance_maxima(win), envelope_value(env, idx, idx[0]))
-    return _max_ratio(np.abs(win), envelope_value(env, idx[:, None], idx[None, :]))
+    return _max_ratio(_envelope_blocks(a, env, a.spans[0]))
 
 
 class InsufficientDecayData(ValueError):
@@ -425,8 +441,7 @@ class ImplicationChainReport:
 def check_implication_chain(a: TruncatedMatrix, gamma: float) -> ImplicationChainReport:
     if a.n < 32:
         raise ValueError("need N >= 32 for the doubling comparison")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    _check_rate("gamma", gamma)
     envs = {
         "star": DecayEnvelope("poly_star", gamma=gamma),
         "dstar": DecayEnvelope("poly_dstar", gamma=gamma),

@@ -181,8 +181,9 @@ def _log_grading(n, family: str, k: float, beta: float = 1.0) -> np.ndarray:
 # Every row-blocked pass takes at most this many rows at a time, so its block
 # arrays stay small beside N x N: the non-zero profile and the products over
 # spans (``envelopes``, ``frames``), the scaled-moduli blocks below and every
-# pass over them, the per-distance maxima, the decay sentinel, the example's
-# trial vectors and the CSV reader (``matio``).  At N = 512 the weighted norms of
+# pass over them, the envelope blocks of the membership constants and of the
+# inverse-decay check, the per-distance maxima of the decay fits, the decay
+# sentinel, the example's trial vectors and the CSV reader (``matio``).  At N = 512 the weighted norms of
 # I + 0.5 S (sub-exponential weight) peak at 2.20 N^2 doubles, dual included.
 _ROW_BLOCK = 128
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frameforge import cli, frames, graded, weights
+from frameforge import cli, envelopes, frames, graded, weights
 from frameforge.cli import main
 from frameforge.envelopes import TruncatedMatrix, p_series
 from frameforge.matio import load_frame_system, save_matrix, sidecar_path
@@ -988,6 +988,53 @@ def test_report_with_a_nan_or_negative_gamma_fails_the_envelope_chain(tmp_path, 
     assert "nan" not in text
 
 
+def test_report_with_an_infinite_gamma_fails_the_envelope_chain(tmp_path):
+    # +inf passed "not gamma > 0": the step read "pass" with every constant "inf"
+    cfg = write_config(tmp_path, "r.json", dict(SMALL_REPORT, gamma=math.inf))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 1
+    step = json.loads((tmp_path / "report.json").read_text())["steps"]["envelope_chain"]
+    assert step == {"status": "fail", "error": "gamma must be finite"}
+
+
+def test_jaffard_with_an_infinite_or_huge_gamma_exit_2_naming_the_cause(tmp_path, capsys):
+    # gamma = inf was reported as "gamma_prime must lie in (0, gamma)";
+    # gamma = 1e308 overflowed in the envelope's exponent with a RuntimeWarning
+    path = tmp_path / "band.ffmx"
+    save_matrix(path, TruncatedMatrix(np.eye(64) + 0.3 * (np.eye(64, k=1) + np.eye(64, k=-1))), binary=True)
+    for gamma, message in [(math.inf, "error: gamma must be finite"),
+                           (1e308, "error: matrix does not satisfy the declared decay class on the window")]:
+        cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": gamma})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "out" / "jaffard.json").exists()
+
+
+def test_no_envelope_evaluation_exceeds_a_block_of_rows(tmp_path, monkeypatch):
+    # membership constants and the inverse-decay check evaluate the envelope
+    # block by block of rows, never over the whole window at once
+    cells, evaluate = [], envelopes.envelope_value
+
+    def counting(env, m, n):
+        cells.append(np.broadcast(np.asarray(m), np.asarray(n)).size)
+        return evaluate(env, m, n)
+
+    monkeypatch.setattr(envelopes, "envelope_value", counting)
+    n = 512
+    cfg = write_config(tmp_path, "r.json", dict(SMALL_REPORT, n=n))
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "report"), "--no-timestamp"]) == 0
+    assert cells and max(cells) <= envelopes._ROW_BLOCK * n
+
+    cells.clear()
+    n = 1024
+    path = tmp_path / "band.ffmx"
+    save_matrix(path, TruncatedMatrix(np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1)), margin=64), binary=True)
+    cfg = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": math.log(1 / 0.3)})
+    assert main(["jaffard", "--config", cfg, "--out", str(tmp_path / "jaffard")]) == 0
+    assert cells and max(cells) <= envelopes._ROW_BLOCK * n
+
+
 def _count_profile_scans(monkeypatch) -> list:
     """Patch ``TruncatedMatrix.profile`` to record the entries of every matrix it scans."""
     scanned, scan = [], TruncatedMatrix.profile.func
@@ -1009,8 +1056,9 @@ def test_each_matrix_has_its_non_zeros_scanned_once(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "r.json", dict(SMALL_REPORT, n=n, levels=[0, 1],
                                                  weight={"kind": "subexponential", "beta": 0.5, "gamma": 1.0}))
     assert main(["report", "--config", cfg, "--out", str(tmp_path / "report"), "--no-timestamp"]) == 0
-    assert len(scanned) == 2  # E, then its dual
-    assert np.array_equal(scanned[0], e) and np.allclose(scanned[1], np.linalg.inv(e).T, rtol=0, atol=1e-12)
+    assert len(scanned) == 3  # E's leading half and E in the envelope chain, then E's dual
+    assert np.array_equal(scanned[0], e[: n // 2, : n // 2]) and np.array_equal(scanned[1], e)
+    assert np.allclose(scanned[2], np.linalg.inv(e).T, rtol=0, atol=1e-12)
 
     scanned.clear()
     spec = {"r": 2, "eps": [0.3, 0.2], "a": [[[0.2, 0.1]] * n, [[0.1, -0.05]] * n]}  # complex [re, im] pairs
@@ -1027,4 +1075,5 @@ def test_each_matrix_has_its_non_zeros_scanned_once(tmp_path, monkeypatch):
     save_matrix(path, TruncatedMatrix(a, margin=16), binary=True)
     jaffard = write_config(tmp_path, "j.json", {"matrix": str(path), "beta": 1.0, "gamma": math.log(1 / 0.3)})
     assert main(["jaffard", "--config", jaffard, "--out", str(tmp_path / "jaffard")]) == 0
-    assert len(scanned) == 1 and np.array_equal(scanned[0], a)  # A, never its LU inverse
+    # A, then AA* for its membership constant, never the inverse
+    assert len(scanned) == 2 and np.array_equal(scanned[0], a) and np.allclose(scanned[1], a @ a.T, rtol=0, atol=1e-15)

@@ -105,6 +105,65 @@ def test_implication_chain_rejects_a_nan_rate():
         check_implication_chain(TruncatedMatrix(np.eye(32)), math.nan)
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("poly_star", "gamma"), ("poly_dstar", "gamma"), ("poly_tstar", "gamma"), ("jaffard", "gamma"),
+    ("colrow_poly", "gamma0"), ("colrow_subexp", "gamma0"), ("eq_newdecay", "gamma0"), ("grdecay", "gamma0"),
+    ("colrow_poly", "gamma1"), ("subexp_split", "gamma1"), ("grdecay", "gamma1"),
+    ("eq_newdecay", "eps"), ("grdecay", "eps"), ("subexp_split", "eps"),
+])
+def test_envelope_rejects_an_infinite_rate(kind, field):
+    # +inf passed "not x > 0": a jaffard constant then read e^(-inf * 0) = nan on the diagonal
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DecayEnvelope(kind, **{field: math.inf})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_implication_chain(TruncatedMatrix(np.eye(32)), math.inf),
+    lambda: jaffard_predict(TruncatedMatrix(np.eye(16)), 1.0, math.inf),
+], ids=["implication-chain", "jaffard"])
+def test_an_infinite_rate_fails_the_checks_by_name(call):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("jaffard", "gamma"), ("colrow_subexp", "gamma0"), ("colrow_subexp", "gamma1"),
+    ("subexp_split", "gamma1"), ("subexp_split", "eps"),
+])
+@pytest.mark.parametrize("beta", [1.0, 0.3])
+def test_huge_finite_rates_give_finite_or_infinite_constants_without_warning(kind, field, beta):
+    # at 1e308 the exponents overflowed with a RuntimeWarning, and subexp_split's
+    # g1 n^b - (g1+eps) m^b read inf - inf, so its constant was nan
+    n = 160  # the window crosses a row block
+    env = DecayEnvelope(kind, beta=beta, **{field: 1e308})
+    s = np.eye(n, k=1)
+    matrices = [np.eye(n), np.eye(n) + 0.1 * s + 0.2 * s.T, np.full((n, n), 0.5) + np.eye(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        constants = [membership_constant(TruncatedMatrix(m), env) for m in matrices]
+        idx = np.arange(1.0, n + 1.0)
+        cells = envelope_value(env, idx[:, None], idx[None, :])
+    assert not any(math.isnan(c) for c in constants) and constants[0] > 0.0
+    assert not np.isnan(cells).any() and np.all(cells >= 0.0)
+
+
+def test_subexp_split_keeps_the_bits_of_its_finite_cells():
+    # only the cells the product form loses (inf - inf, or 0) take the difference form
+    env = DecayEnvelope("subexp_split", gamma1=400.0, beta=0.5, eps=0.25, c1=3.0)
+    mm, nn = np.meshgrid(np.arange(1.0, 300.0), np.arange(1.0, 300.0), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):
+        old = np.where(nn > mm, np.exp(-0.25 * nn ** 0.5),
+                       3.0 * np.exp(400.0 * nn ** 0.5 - 400.25 * mm ** 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = envelope_value(env, mm, nn)
+    lost = (nn <= mm) & ((old == 0.0) | ~np.isfinite(old))
+    assert got[~lost].tobytes() == old[~lost].tobytes()
+    m, n = mm[lost], nn[lost]
+    with np.errstate(over="ignore"):
+        np.testing.assert_array_equal(got[lost], 3.0 * np.exp(400.0 * (n ** 0.5 - m ** 0.5) - 0.25 * m ** 0.5))
+
+
 @pytest.mark.parametrize("call", [
     lambda: p_series(math.nan, 1.0),
     lambda: p_series(1.0, 1.0, tol=math.nan),
@@ -816,6 +875,61 @@ def test_membership_and_excess_match_per_cell_reference(a, env):
         got = envelope_excess(a, env), membership_constant(a, env)
         want = reference_envelope_excess(a, env), reference_envelope_excess(a, env.unit())
     np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def _multi_block_matrices(draw):
+    """N over two to four row blocks, margins that cut blocks, and bands, gaps or zero rows."""
+    n = draw(st.integers(129, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    idx = np.arange(n)
+    signed = (idx[None, :] - idx[:, None]).astype(float)
+    rate = draw(st.sampled_from([0.0, 0.3, 2.0, 40.0, 700.0]))
+    mat = np.exp(-rate * np.abs(signed) ** draw(_orders)) * rng.uniform(0.5, 2.0, (n, n))
+    if draw(st.booleans()):
+        mat = mat * np.exp(2j * np.pi * rng.random((n, n)))
+    shape = draw(st.sampled_from(["dense", "band", "gap", "zero rows"]))
+    if shape == "band":
+        mat[(signed < -draw(st.integers(0, 3))) | (signed > draw(st.integers(0, 3)))] = 0.0
+    elif shape == "gap":
+        # a band and the last few columns: between them the rows' gaps cover whole blocks of columns
+        mat[(np.abs(signed) > 1) & (idx[None, :] < n - draw(st.integers(1, 8)))] = 0.0
+    elif shape == "zero rows":
+        mat[rng.random(n) < draw(st.sampled_from([0.1, 0.5, 1.0]))] = 0.0
+        start = draw(st.integers(0, n - 1))
+        mat[start : start + envelopes._ROW_BLOCK] = 0.0  # a block of rows, whole or cut by the window
+    return TruncatedMatrix(mat, margin=draw(st.integers(0, (n - 1) // 2)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(a=_multi_block_matrices(), env=_envelopes())
+def test_membership_and_excess_over_row_blocks_match_per_cell_reference(a, env):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = envelope_excess(a, env), membership_constant(a, env)
+        want = reference_envelope_excess(a, env), reference_envelope_excess(a, env.unit())
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, margin", [(300, 37), (384, 64), (400, 0)])
+@pytest.mark.parametrize("build", ["tridiagonal", "triangular", "dense complex"])
+def test_inverse_check_over_row_blocks_matches_per_cell_reference(n, margin, build):
+    rng = np.random.default_rng(n + margin)
+    if build == "tridiagonal":
+        mat = np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    elif build == "triangular":
+        mat = np.eye(n) + 0.5 * np.eye(n, k=1) + 0.2 * np.eye(n, k=3)
+    else:
+        d = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+        mat = np.exp(-0.7 * d) * np.exp(2j * np.pi * rng.random((n, n))) + 2.0 * np.eye(n)
+    a = TruncatedMatrix(mat, margin=margin)
+    inv = frames._inverse(a)
+    k = n - 2 * margin
+    for gamma1, c_inv, any_violation in [(0.05, 1e300, False), (0.05, 0.5, True), (3.0, 2.0, True)]:
+        check = verify_inverse_decay(a, hand_built_report(gamma1_pred=gamma1, beta=1.0, c_inv_pred=c_inv))
+        want = reference_inverse_violations(inv, margin, gamma1, 1.0, c_inv)
+        assert (want > 0) == any_violation
+        assert check.violations == want and check.checked == k * k
+        assert check.max_inverse_entry == float(np.max(np.abs(inv[margin : n - margin, margin : n - margin])))
 
 
 def product_form(env, m, n):

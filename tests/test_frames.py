@@ -1294,6 +1294,22 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def test_implication_chain_forms_no_matrix_of_the_window():
+    # every membership constant reads the window in blocks of rows over their spans
+    n = 1024
+    a = TruncatedMatrix(np.eye(n) + 0.5 * np.eye(n, k=1))
+    peak = _traced_peak(lambda: envelopes.check_implication_chain(a, 2.0))
+    assert peak < n * n * 8 // 4
+
+
+def test_inverse_decay_check_forms_no_matrix_beside_the_inverse():
+    n = 1024
+    a = tridiagonal(n)
+    report = jaffard_predict(a, 1.0, math.log(1 / 0.3))
+    peak = _traced_peak(lambda: verify_inverse_decay(a, report))
+    assert peak < 2 * n * n * 8
+
+
 def test_decay_sentinel_forms_no_matrix_of_moduli():
     # a banded system has too few populated distances to fit, so the sentinel's
     # max |a| is taken; it runs in row blocks, not over an N x N array of moduli
