@@ -242,10 +242,6 @@ class Invocation:
             raise InvalidInput("seed required: pass --seed or put 'seed' in the config")
         return self.get("seed")
 
-    @cached_property
-    def hermite(self) -> HermiteContext:
-        return HermiteContext(nmax=self.system.n)
-
     def step_seed(self, label: str) -> int:
         """Seed for one step, drawn from a stream fixed by the run's seed and the step label."""
         rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())])
@@ -276,16 +272,23 @@ def step_schur(inv: Invocation, p: float = 2.0) -> dict:
 
 
 def step_frame_bounds(inv: Invocation) -> dict:
-    """Frame bounds; they pass only under the dual's rank rule, so a lower bound that is noise fails."""
+    """Frame bounds; they pass only under the dual's rank rule, so a lower bound that is noise fails.
+
+    Beside them, the proven ends lambda_min_lower <= lambda_min and
+    lambda_max_upper >= lambda_max of the exact E^H E, or None (null) for an
+    E whose Gram eigenvalues come from ``eigvalsh``.
+    """
     a, b = frames.frame_bounds(inv.system)
-    return _result(frames._full_rank(inv.system.gram_eigenvalues), lower=a, upper=b)
+    lam_min, lam_max, lower, upper = inv.system.gram_extremes
+    return _result(frames._full_rank(lam_min, lam_max, inv.system.n), lower=a, upper=b,
+                   lambda_min_lower=lower, lambda_max_upper=upper)
 
 
 def step_dual_biorthogonality(inv: Invocation) -> dict:
     system = inv.system
     gram = frames.cross_gram(frames.canonical_dual(system), system).entries
     gram.flat[:: system.n + 1] -= 1.0  # the deviation from the identity, in place
-    dev = float(np.max(np.abs(gram)))
+    dev = float(np.max(np.abs(gram, out=gram.real)))  # the moduli in place too: a real Gram needs no N x N temporary
     return _result(dev < 1e-8, max_deviation=dev)
 
 
@@ -317,7 +320,8 @@ def step_expansion(inv: Invocation) -> dict:
         checkpoints = sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
     elif checkpoints != sorted(checkpoints) or not 1 <= checkpoints[0] <= checkpoints[-1] <= system.n:
         raise InvalidInput(f"checkpoints must be sorted within 1..{system.n}")
-    coeffs = project(inv.hermite, inv.get("function", TestFunction.gaussian(3.0)), system.n)
+    # the q x N Hermite table lives for this projection only, not through the later steps
+    coeffs = project(HermiteContext(nmax=system.n), inv.get("function", TestFunction.gaussian(3.0)), system.n)
     curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
               for k in levels]
     rows = [[m, k, repr(float(err))] for k, errs in curves for m, err in zip(checkpoints, errs)]

@@ -592,8 +592,9 @@ def convolution_constant(gamma: float, beta: float, n: int) -> float:
     """
     if n < 16:
         raise ValueError("need N >= 16")
-    if not gamma > 0 or not 0.0 < beta <= 1.0:
-        raise ValueError("need gamma > 0 and beta in (0, 1]")
+    _check_rate("gamma", gamma)
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
     idx = np.arange(1, n + 1, dtype=float)
     dist = np.abs(idx[:, None] - idx[None, :]) ** beta
     e = np.exp(-gamma * dist)

@@ -32,12 +32,17 @@ its size, such as a tridiagonal E from N = 512 on, is inverted by Gaussian
 elimination with partial pivoting confined to the band, in O(N^2 (p + q))
 flops (``_invert_banded``, the method of LAPACK's ``gbtrf``/``gbtrs``); every
 other E takes the LU whole.  The inverse-decay check reads the same
-inverse.  The Gram matrix E^H E is formed for its eigenvalues (the frame
-bounds, and the rank rule wherever they are computed anyway); it is not
-kept.  When no eigenvalue is asked for, the dual's rank rule is first tried
-on a Gershgorin-type bound read off E's diagonal in O(N^2), which proves
-full rank for diagonally dominant systems, then on one shifted Cholesky of
-E^H E, which needs no structure.
+inverse.  Of the Gram matrices E^H E and AA* only the extreme eigenvalues
+are read (the frame bounds, the spectral norm, the rank rule and Jaffard's
+contraction).  When the Gram's band of b = p + q is narrow for its size
+(``_narrow_gram``), they come from bisection on a Cholesky test of its
+b + 1 diagonals, O(N b^2) per test, with proven ends (``_band_extremes``),
+and E^H E is formed only as those diagonals; any other E takes
+``eigvalsh`` of the whole Gram, which is not kept.  When no eigenvalue is
+asked for, the dual's rank rule is first tried on a Gershgorin-type bound
+read off E's diagonal in O(N^2), which proves full rank for diagonally
+dominant systems, then on one shifted Cholesky test of E^H E: of its band
+when that is narrow, of the whole Gram otherwise.
 
 The reference basis is the Hermite basis throughout; a general Riesz
 reference is obtained by composing coefficient matrices.
@@ -107,15 +112,16 @@ class IncompatibleWeight(ValueError):
     """The weight grows too fast for the system's localization order."""
 
 
-def _full_rank(eigenvalues: np.ndarray) -> bool:
-    """Whether the ascending eigenvalues of a Gram matrix show full rank.
+def _full_rank(lam_min: float, lam_max: float, n: int) -> bool:
+    """Whether the extreme eigenvalues of an N x N Gram matrix show full rank.
 
     The smallest eigenvalue must exceed RANK_TOL**2 (sigma_min > RANK_TOL)
-    and N eps lambda_max: a computed Gram eigenvalue is only accurate to
-    about N eps lambda_max, so below that it cannot be told from 0.
+    and N eps lambda_max: an eigenvalue from ``eigvalsh`` is only accurate
+    to about N eps lambda_max, so below that it cannot be told from 0.  The
+    bisection of ``_band_extremes`` is accurate to 4 eps lambda_max, and the
+    rule stays the same for either.
     """
-    lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    return lam_min > max(RANK_TOL ** 2, eigenvalues.size * np.finfo(float).eps * lam_max)
+    return lam_min > max(RANK_TOL ** 2, n * np.finfo(float).eps * lam_max)
 
 
 def _product(a: np.ndarray, a_spans, b: np.ndarray, b_spans, conj_a: bool = False, conj_b: bool = False) -> np.ndarray:
@@ -168,14 +174,19 @@ def _gram_product(m: TruncatedMatrix, adjoint_first: bool, name: str) -> np.ndar
     e, (rows, cols) = m.entries, m.spans
     with np.errstate(over="ignore"):
         gram = _product(e.T, cols, e, cols, conj_a=True) if adjoint_first else _product(e, rows, e.T, rows, conj_b=True)
-    if not np.all(np.isfinite(gram)):
-        raise ValueError(f"{name} overflows the double range: matrix entries near 1e154 or larger")
+    _require_finite(gram, name)
     return gram
 
 
-def _require_full_rank(eigenvalues: np.ndarray, message: str) -> None:
+def _require_finite(gram: np.ndarray, name: str) -> None:
+    """Raise ValueError naming the Gram matrix ``name`` (or its diagonals) when it overflowed."""
+    if not np.all(np.isfinite(gram)):
+        raise ValueError(f"{name} overflows the double range: matrix entries near 1e154 or larger")
+
+
+def _require_full_rank(lam_min: float, lam_max: float, n: int, message: str) -> None:
     """Raise LinAlgError unless ``_full_rank`` holds."""
-    if not _full_rank(eigenvalues):
+    if not _full_rank(lam_min, lam_max, n):
         raise np.linalg.LinAlgError(message)
 
 
@@ -406,10 +417,286 @@ def _inverse(m: TruncatedMatrix) -> np.ndarray:
             return out
         if np.all(last <= diagonal):
             return _inverse(TruncatedMatrix(e.T)).T
-        p, q = int(np.max(diagonal - first)), int(np.max(last - diagonal))
+        p, q = _bandwidths(m)
         if _narrow_band(m.n, p, q):
             return _invert_banded(e, p, q)
     return np.linalg.inv(e)
+
+
+def _bandwidths(m: TruncatedMatrix) -> tuple[int, int]:
+    """M's lower and upper bandwidths p and q, off its ``profile``: 0 for a triangle or a zero matrix."""
+    first, last = m.profile
+    diagonal = np.arange(m.n)
+    return int(np.max(diagonal - first, initial=0)), int(np.max(last - diagonal, initial=0))
+
+
+# The extreme eigenvalues of a Gram matrix G whose stored matrix G^ has b + 1
+# diagonals (b = p + q for a factor of bandwidths p and q) come from bisection
+# on a Cholesky test of the band, the method of W. Barth, R. S. Martin and
+# J. H. Wilkinson ("Calculation of the eigenvalues of a symmetric tridiagonal
+# matrix by the method of bisection", Numer. Math. 9, 1967) for a test that
+# stops at its first pivot that is not positive.  Notation as in
+# ``_certify_full_rank``: u = eps/2 and gamma~_k = gamma_{3k}.
+
+
+def _narrow_gram(n: int, b: int, cplx: bool) -> bool:
+    """Whether ``_band_extremes`` is faster than ``eigvalsh`` for an N x N Gram matrix with b + 1 diagonals.
+
+    ``eigvalsh`` costs O(N^3); bisection about 90 tests of O(N b^2) each,
+    interpreted (``_cholesky_passes``): in a loop written out for a real
+    band of b <= 2, in one generic loop, slower by a factor that grows
+    with b, otherwise.  Measured in process with 2 BLAS threads on random
+    bands, as ms for the Gram product and ``eigvalsh`` / the diagonals and
+    the bisection (median of 3; the box is noisy):
+
+    ======  ======  ======================  ========================
+    N       b       real                    complex
+    ======  ======  ======================  ========================
+    256     1, 2    4 / 2, 4 / 4            9 / 9, 9 / 13
+    512     1, 2    17 / 3, 21 / 6          62 / 36, 73 / 54
+    512     3, 4    19 / 41, 18 / 62        67 / 89, 70 / 87
+    1024    3, 4    125 / 70, 131 / 107     491 / 106, 550 / 229
+    1024    6, 8    113 / 233, 96 / 235     475 / 352, 471 / 437
+    2048    8, 10   843 / 750, 800 / 722    4151 / 856, 3373 / 1007
+    2048    12, 16  784 / 1244, 648 / 1330  3310 / 2275, 2631 / 2763
+    ======  ======  ======================  ========================
+
+    So a real band of b <= 2 goes to bisection from N = 512 on (at 256 the
+    two tie), and any other band while b + 1 stays below N / 192 (real) or
+    N / 128 (complex).
+    """
+    if b <= 2 and not cplx:
+        return n >= 512
+    return (128 if cplx else 192) * (b + 1) < n
+
+
+def _column_diagonals(x: np.ndarray, p: int, q: int) -> np.ndarray:
+    """X's diagonals -p..q, column-aligned: row d + p holds X[c - d, c] at column c, zero past X's edge."""
+    n = x.shape[0]
+    out = np.zeros((p + q + 1, n), x.dtype)
+    for d in range(-p, q + 1):
+        out[d + p, max(d, 0) : n + min(d, 0)] = x.diagonal(d)
+    return out
+
+
+def _band_gram(cols: np.ndarray) -> np.ndarray:
+    """The b + 1 lower diagonals of X^H X from X's ``_column_diagonals`` (b + 1 rows): row k holds (X^H X)[i, i - k] at i.
+
+    (X^H X)[i, i - k] = sum_r conj(X[r, i]) X[r, i - k] over the at most
+    b + 1 rows r where both are held, summed in a fixed order, one
+    vectorized product per pair of diagonals.
+    """
+    w, n = cols.shape
+    out = np.zeros((w, n), cols.dtype)
+    for k in range(w):
+        for d in range(k, w):
+            out[k, k:] += cols[d, k:].conj() * cols[d - k, : n - k]
+    return out
+
+
+def _band_row_sums(a: np.ndarray) -> np.ndarray:
+    """Row sums of the symmetric matrix whose b + 1 lower diagonals are ``a``, stored as ``_band_gram`` stores them."""
+    sums = a.sum(axis=0)
+    for k in range(1, a.shape[0]):
+        sums[: a.shape[1] - k] += a[k, k:]
+    return sums
+
+
+def _banded_gram(m: TruncatedMatrix, p: int, q: int, adjoint_first: bool, name: str,
+                 gram: np.ndarray | None = None) -> tuple[np.ndarray, Fraction | None]:
+    """The b + 1 lower diagonals of G^, the computed M^H M (``adjoint_first``) or M M^H, and a bound on ||G^ - G||_2.
+
+    The diagonals are read off ``gram`` when the caller holds it
+    (``_gram_product``'s), else formed from M's diagonals by ``_band_gram``,
+    with X = M or X = M^H; no N x N array is formed.  Either way each entry
+    of G^ is a dot product of at most b + 1 = p + q + 1 non-zero terms, so
+    |G^ - G| <= gamma~_{b+1} |X|^T |X| entrywise, and
+    ||G^ - G||_2 <= gamma~_{b+1} || |X|^T |X| ||_inf: the formation error,
+    charged per band entry from the diagonals of |X|^T |X|.  Their computed
+    row sums (moduli within an ulp, one product, at most 3b additions of
+    non-negative terms) are divided by 1 - gamma~_{b+2} to bound the exact
+    ones.  None when they overflow; a non-finite G^ raises ValueError, as
+    in ``_gram_product``.
+    """
+    b = p + q
+    cols = _column_diagonals(m.entries, p, q) if adjoint_first else _column_diagonals(m.entries.T, q, p).conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gram is None:
+            bands = _band_gram(cols)
+        else:
+            bands = np.zeros((b + 1, m.n), gram.dtype)
+            for k in range(b + 1):
+                bands[k, k:] = gram.diagonal(-k)
+        _require_finite(bands, name)
+        moduli = float(np.max(_band_row_sums(_band_gram(np.abs(cols)))))
+    if not math.isfinite(moduli):
+        return bands, None
+    return bands, _gamma_tilde(b + 1) * Fraction(moduli) / (1 - _gamma_tilde(b + 2))
+
+
+def _cholesky_passes(rows: list, b: int, shift: float) -> bool:
+    """Whether the Cholesky factorization of H = fl(G^ - shift I) completes: every pivot positive.
+
+    ``rows`` holds G^ by rows, row i as (g_ii, g_i,i-1, ..., g_i,i-b),
+    zero left of the first column, with g_ii a float.  The factor R of
+    R^H R = H is formed row by row of R^H from the b rows before, and the
+    test stops at the first radicand that is not positive.  A real band of
+    b = 1 or 2 runs a loop written out for it; any other band runs one
+    loop over the b previous rows.
+    """
+    if b == 1 and type(rows[0][1]) is float:
+        q1 = 1.0
+        for a, h1 in rows:
+            r1 = h1 / q1
+            x = a - shift - r1 * r1
+            if not x > 0.0:
+                return False
+            q1 = math.sqrt(x)
+        return True
+    if b == 2 and type(rows[0][1]) is float:
+        q2 = q1 = 1.0
+        m = 0.0  # r_{i-2,i-1}
+        for a, h1, h2 in rows:
+            r2 = h2 / q2
+            r1 = (h1 - r2 * m) / q1
+            x = a - shift - r2 * r2 - r1 * r1
+            if not x > 0.0:
+                return False
+            q2, q1, m = q1, math.sqrt(x), r1
+        return True
+    steps = [(k, b - k, [(j, j - k) for j in range(k + 1, b + 1)]) for k in range(b, 0, -1)]
+    window = [[1.0] + [0.0] * b] * b  # rows i-b..i-1 of R^H: their diagonal, then their entries 1..b left of it
+    for row in rows:
+        x, new = row[0] - shift, [0.0] * (b + 1)
+        for k, t, terms in steps:  # the entry k left of the diagonal, from row i - k = window[t]
+            left = window[t]
+            v = row[k]
+            for j, jk in terms:
+                v -= new[j] * left[jk].conjugate()
+            new[k] = v = v / left[0]
+            x -= (v * v.conjugate()).real
+        if not x > 0.0:
+            return False
+        new[0] = math.sqrt(x)
+        del window[0]
+        window.append(new)
+    return True
+
+
+def _test_charge(b: int) -> Fraction:
+    """c_b with lambda_min(G^) >= shift - c_b max_i fl(g^_ii - shift) when the test at ``shift`` passes (``_proven_least``)."""
+    g = _gamma_tilde(b + 2)
+    return (2 * b + 1) * g / (1 - g) + _U
+
+
+def _proven_least(top: float, b: int, shift: float) -> Fraction:
+    """A lower bound on lambda_min(G^) from a Cholesky test at ``shift`` that passed; ``top`` is max_i g^_ii.
+
+    With H = fl(G^ - shift I), the computed factor satisfies
+    R^H R = H + dH, |dH| <= gamma~_{b+2} |R^H| |R| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, Thm 10.3: each entry is an
+    inner product of at most b + 1 terms and a square root or division; in
+    complex arithmetic as in ``_certify_full_rank``).  |R^H| |R| has
+    entries at most ||R e_i|| ||R e_j||, within the band, and
+    ||R e_j||^2 = h_jj + dh_jj <= h_jj / (1 - gamma~_{b+2}), so
+    ||dH||_2 <= gamma~_{b+2} || |R^H| |R| ||_inf
+             <= (2b + 1) gamma~_{b+2} / (1 - gamma~_{b+2}) max h_jj:
+    a charge that does not grow with N, unlike ||R||_F^2.  R^H R is
+    positive semidefinite, so lambda_min(H) >= -||dH||_2 (Rump,
+    "Verification of positive definiteness", BIT 46, 2006).  The shift
+    rounds each diagonal entry by at most u h_jj, and max h_jj is
+    fl(top - shift), as rounding is monotone.
+    """
+    return Fraction(shift) - _test_charge(b) * Fraction(top - shift)
+
+
+def _least_eigenvalue(rows: list, b: int, lo: float, hi: float, scale: float, top: float) -> tuple[float, Fraction]:
+    """Bisect [lo, hi] on lambda_min of the G^ in ``rows``: the converged point, and the proof of the last test that passed.
+
+    Tests pass below lambda_min and fail above it, up to rounding; lo is
+    below it and hi above.  Bisection stops at a width of 4 eps times the
+    largest of ``scale``, |lo| and |hi|.  When no test passed, shifts
+    further below lo are tried, at distances that double, until one does.
+    """
+    eps, passed = np.finfo(float).eps, None
+    while hi - lo > 4.0 * eps * max(scale, abs(lo), abs(hi)):
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if _cholesky_passes(rows, b, mid):
+            lo = passed = mid
+        else:
+            hi = mid
+    value, step = lo + 0.5 * (hi - lo), max(4.0 * eps * max(scale, abs(lo), abs(hi)), np.finfo(float).tiny)
+    while passed is None:
+        if _cholesky_passes(rows, b, lo - step):
+            passed = lo - step
+        step *= 2.0
+    return value, _proven_least(top, b, passed)
+
+
+def _float_down(x: Fraction) -> float:
+    """The greatest double at most x."""
+    f = float(x)
+    return f if Fraction(f) <= x else math.nextafter(f, -math.inf)
+
+
+def _real_if_possible(bands: np.ndarray) -> tuple[np.ndarray, int]:
+    """The band in real arithmetic when its imaginary parts are zero, and b; a diagonal band gains a zero subdiagonal."""
+    if np.iscomplexobj(bands) and not np.any(bands.imag):
+        bands = bands.real
+    if bands.shape[0] == 1:
+        bands = np.vstack([bands, np.zeros_like(bands)])
+    return bands, bands.shape[0] - 1
+
+
+def _band_rows(bands: np.ndarray) -> list:
+    """The rows of ``_cholesky_passes`` from the b + 1 lower diagonals: (g_ii, g_i,i-1, ..., g_i,i-b), g_ii a float."""
+    return list(zip(bands[0].real.tolist(), *bands[1:].tolist()))
+
+
+def _band_extremes(bands: np.ndarray, formation: Fraction | None) -> tuple[float, float, float, float]:
+    """lambda_min and lambda_max of a Hermitian G^ held as its b + 1 lower diagonals, and proven ends for G.
+
+    ``bands[k, i]`` is G^[i, i - k] (zero for i < k) and ``formation``
+    bounds ||G^ - G||_2 (None: unbounded).  Returns the two converged
+    points, each within about 4 eps ||G^|| of the exact eigenvalue of G^,
+    and lower <= lambda_min(G), upper >= lambda_max(G), proven with every
+    rounding charged (``_proven_least``); -inf and +inf when ``formation``
+    is None.  lambda_max is the least eigenvalue of -G^, tested on the
+    mirrored band.  The brackets start from Gershgorin's discs and from
+    the diagonal and the Rayleigh quotients of the constant and the
+    alternating vector, the extreme eigenvectors of a banded Toeplitz
+    matrix with off-diagonals of one sign in the limit.  lambda_max is
+    bisected first, to a width of 4 eps max(|lambda_max|, max_i |g_ii|),
+    then lambda_min to 4 eps max(|lambda_min|, |lambda_max|), both at most
+    4 eps ||G^||_2: about 90 tests in all.  A non-finite Gershgorin bound
+    raises ValueError: the band sits at the edge of the double range.
+    """
+    bands, b = _real_if_possible(bands)
+    diag = bands[0].real
+    moduli = np.abs(bands)
+    moduli[0] = 0.0
+    radius = _band_row_sums(moduli)
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise ValueError("a Gram matrix sits at the edge of the double range: matrix entries near 1e154 or larger")
+    n = diag.size
+    # the quotients sum N row terms, each at most max(-lo, hi) / N in modulus
+    margin = (n + 2 * b + 4) * np.finfo(float).eps * max(-lo, hi)
+    off, mean = 2.0 * (bands[1:].real / n).sum(axis=1), float((diag / n).sum())
+    quotients = [mean + float(off.sum()), mean + float(off[1::2].sum() - off[::2].sum())]
+    scale = float(np.max(np.abs(diag)))  # at most ||G^||_2
+    neg_max, most = _least_eigenvalue(_band_rows(-bands), b, -hi,
+                                      -max(float(diag.max()), *(x - margin for x in quotients)), scale,
+                                      -float(diag.min()))
+    lam_min, least = _least_eigenvalue(_band_rows(bands), b, lo,
+                                       min(float(diag.min()), *(x + margin for x in quotients)),
+                                       max(scale, abs(neg_max)), float(diag.max()))
+    lam_max = 0.0 - neg_max  # +0.0 for a zero band
+    if formation is None:
+        return lam_min, lam_max, -math.inf, math.inf
+    return lam_min, lam_max, _float_down(least - formation), -_float_down(most - formation)
 
 
 def _certify_full_rank(e: TruncatedMatrix | np.ndarray) -> bool:
@@ -418,7 +705,9 @@ def _certify_full_rank(e: TruncatedMatrix | np.ndarray) -> bool:
     True proves lambda_min(E^H E) > tau = max(RANK_TOL^2, N eps lambda_bar)
     for a proven lambda_bar >= lambda_max(E^H E), so the exact eigenvalues
     pass the rule of ``_full_rank``, with a margin.  False proves nothing;
-    the caller then decides on the eigenvalues.
+    the caller then decides on the eigenvalues.  An E whose Gram has a
+    narrow band (``_narrow_gram``) is tested on that band alone
+    (``_certify_band``); the steps below are those of any other E.
 
     Notation: u = 2^-53 = eps/2, gamma_j = j u / (1 - j u), and the
     complex-safe gamma~_k = gamma_{3k} (Higham, *Accuracy and Stability of
@@ -469,6 +758,9 @@ def _certify_full_rank(e: TruncatedMatrix | np.ndarray) -> bool:
     eigenvalues do.
     """
     m = e if isinstance(e, TruncatedMatrix) else TruncatedMatrix(e)
+    p, q = _bandwidths(m)
+    if _narrow_gram(m.n, p + q, np.iscomplexobj(m.entries)):
+        return _certify_band(m, p, q)
     e, n = m.entries, m.n
     g = _gram_product(m, True, "the Gram matrix E^H E")
     zero = np.zeros(n)
@@ -492,19 +784,65 @@ def _certify_full_rank(e: TruncatedMatrix | np.ndarray) -> bool:
     return shift - _gamma_tilde(n + 1) * fro_r - _U * (d + shift) - weyl > tau
 
 
+def _certify_band(m: TruncatedMatrix, p: int, q: int) -> bool:
+    """``_certify_full_rank`` for an E of bandwidths p and q: one ``_cholesky_passes`` test of the band of E^H E.
+
+    The b + 1 diagonals of G^ (b = p + q) come from ``_banded_gram``, with
+    the formation bound F >= ||G^ - G||_2.  lambda_bar is the largest row
+    sum of |G^|, divided by 1 - gamma~_{b+2} for its rounding, plus F.  A
+    test at sigma that passes proves
+    lambda_min(G) >= sigma - c_b fl(max g^_ii - sigma) - F
+    (``_proven_least``), so sigma = 2 (tau + F + c_b max g^_ii) leaves the
+    bound near sigma / 2 + tau, with tau = max(RANK_TOL^2, N eps lambda_bar)
+    as in the dense proof.  No N x N array is formed and no LAPACK routine
+    runs.
+    """
+    bands, formation = _banded_gram(m, p, q, True, "the Gram matrix E^H E")
+    bands, b = _real_if_possible(bands)
+    with np.errstate(over="ignore"):
+        row_sum = float(np.max(_band_row_sums(np.abs(bands))))
+    if formation is None or not math.isfinite(row_sum):  # sums past the double range prove nothing
+        return False
+    lam_bar = Fraction(row_sum) / (1 - _gamma_tilde(b + 2)) + formation
+    tau = max(Fraction(RANK_TOL ** 2), m.n * 2 * _U * lam_bar)
+    top = float(np.max(bands[0].real))
+    sigma = float(2 * (tau + formation + _test_charge(b) * Fraction(top)))
+    return _cholesky_passes(_band_rows(bands), b, sigma) and _proven_least(top, b, sigma) - formation > tau
+
+
+def _gram_extremes(m: TruncatedMatrix, adjoint_first: bool, name: str,
+                   gram: np.ndarray | None = None) -> tuple[float, float, float | None, float | None]:
+    """lambda_min and lambda_max of the Gram matrix ``name`` of M (M^H M when ``adjoint_first``, else M M^H), and proven ends.
+
+    When M's bandwidths p and q (off its profile) make the Gram's band of
+    b = p + q narrow for its size, by the rule of ``_narrow_gram``: bisection
+    on its b + 1 diagonals (``_banded_gram``, ``_band_extremes``), with proven
+    lower <= lambda_min and upper >= lambda_max of the exact Gram.
+    Otherwise ``eigvalsh`` of the Gram, ``gram`` when the caller holds it,
+    with no proven ends (None).  Either way a Gram that overflows raises
+    ValueError naming it.
+    """
+    p, q = _bandwidths(m)
+    if _narrow_gram(m.n, p + q, np.iscomplexobj(m.entries)):
+        return _band_extremes(*_banded_gram(m, p, q, adjoint_first, name, gram))
+    lam = np.linalg.eigvalsh(_gram_product(m, adjoint_first, name) if gram is None else gram)
+    return float(lam[0]), float(lam[-1]), None, None
+
+
 class FrameSystem:
     """A truncated frame given by its coefficient matrix against the ONB.
 
     Row m holds the Hermite coefficients of the m-th frame element.
-    The ascending eigenvalues of the Gram matrix E^H E (the squared
-    singular values of E, whose extremes are the frame bounds) and the
-    canonical dual E^{-H} are computed lazily, once per system; the dual
-    from ``_inverse``, by block products when E is triangular.  The Gram
-    matrix is not kept: it is formed for the eigenvalues, and for the
-    dual's shifted-Cholesky proof of full rank only when the eigenvalues
-    have not been computed and E's diagonal does not dominate enough to
-    prove it in O(N^2).  Instances are treated as immutable after
-    construction.
+    The extreme eigenvalues of the Gram matrix E^H E (the extreme squared
+    singular values of E, the frame bounds) and the canonical dual E^{-H}
+    are computed lazily, once per system: the extremes by ``_gram_extremes``
+    (bisection on the Gram's band for a banded E, ``eigvalsh`` otherwise),
+    the dual from ``_inverse``, by block products when E is triangular.
+    The Gram matrix is not kept: it is formed, as its band for a banded E,
+    for the extremes, and for the dual's shifted-Cholesky proof of full
+    rank only when the extremes have not been computed and E's diagonal
+    does not dominate enough to prove it in O(N^2).  Instances are treated
+    as immutable after construction.
     """
 
     def __init__(self, coeffs, label: str = ""):
@@ -522,21 +860,21 @@ class FrameSystem:
         return self.coeffs.entries
 
     @cached_property
-    def gram_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the Gram matrix E^H E in ascending order."""
-        return np.linalg.eigvalsh(_gram_product(self.coeffs, True, "the Gram matrix E^H E"))
+    def gram_extremes(self) -> tuple[float, float, float | None, float | None]:
+        """lambda_min and lambda_max of the Gram matrix E^H E, and their proven ends (``_gram_extremes``)."""
+        return _gram_extremes(self.coeffs, True, "the Gram matrix E^H E")
 
     @cached_property
     def canonical_dual(self) -> "FrameSystem":
         """Rows S^{-1} e_n: E (E^H E)^{-1}, which is E^{-H} for the square E.
 
         The rank rule of ``_full_rank`` decides whether the dual exists.
-        Gram eigenvalues already computed decide it directly.  Otherwise
+        Gram extremes already computed decide it directly.  Otherwise
         two proofs are tried in turn: Johnson's bound on the diagonal of E
         (``_prove_full_rank_from_diagonal``, O(N^2), no Gram matrix), then
         one shifted Cholesky of E^H E (``_certify_full_rank``).  Only when
-        both fail are the eigenvalues computed to decide, so every
-        rejection comes from the eigenvalues.  Which proof runs depends on
+        both fail are the extremes computed to decide, so every
+        rejection comes from the extremes.  Which proof runs depends on
         E alone.  The dual itself is solved from E, not from E^H E, by
         ``_inverse``: a triangular E through the block identity
         [A B; 0 D]^-1 = [A^-1, -A^-1 B D^-1; 0, D^-1] down to blocks of at
@@ -544,10 +882,11 @@ class FrameSystem:
         band, any other E by one LU.  The inverse is
         conjugated in place and transposed, with no further N x N copy.
         """
-        if "gram_eigenvalues" in self.__dict__ or not (
+        if "gram_extremes" in self.__dict__ or not (
             _prove_full_rank_from_diagonal(self.matrix) or _certify_full_rank(self.coeffs)
         ):
-            _require_full_rank(self.gram_eigenvalues, "frame operator is rank-deficient at this truncation")
+            lam_min, lam_max, _, _ = self.gram_extremes
+            _require_full_rank(lam_min, lam_max, self.n, "frame operator is rank-deficient at this truncation")
         inverse = _inverse(self.coeffs)
         dual = (np.conjugate(inverse, out=inverse) if np.iscomplexobj(inverse) else inverse).T
         return FrameSystem(
@@ -606,12 +945,15 @@ def synthesis(e: FrameSystem, c, spans=None) -> np.ndarray:
 def frame_bounds(e: FrameSystem) -> tuple[float, float]:
     """Truncated frame bounds: the extreme eigenvalues of the Gram matrix E^H E.
 
-    Both are accurate to about N eps times the upper bound, so a lower
-    bound below that carries no correct digit.  It is clipped at 0, where
-    rounding can leave a singular system's smallest eigenvalue negative.
+    Both are accurate to about N eps times the upper bound from
+    ``eigvalsh``, and to about 4 eps times it from the bisection of a banded
+    E (``_gram_extremes``), so a lower bound below that carries no correct
+    digit.  It is clipped at 0, where rounding can leave a singular
+    system's smallest eigenvalue negative.  Proven ends are in
+    ``e.gram_extremes``.
     """
-    lam = e.gram_eigenvalues
-    return max(float(lam[0]), 0.0), float(lam[-1])
+    lam_min, lam_max, _, _ = e.gram_extremes
+    return max(lam_min, 0.0), lam_max
 
 
 def canonical_dual(e: FrameSystem) -> FrameSystem:
@@ -804,6 +1146,10 @@ class JaffardReport:
     (limit value 1 of the log ratio as r -> 0) and the constant
 
         C_inv = C_A (1 + r/(1-r) * 1/(2P) + 1/(1-r)) * 2 P_{gamma-gamma1,beta}.
+
+    ``lambda_min_lower`` and ``lambda_max_upper`` are proven ends of the
+    spectrum of the exact AA*, from the bisection on its band; None when
+    ``eigvalsh`` gave the extremes (an A whose band is not narrow).
     """
 
     beta: float
@@ -820,9 +1166,11 @@ class JaffardReport:
     k_split: float
     gamma1_pred: float
     c_inv_pred: float
+    lambda_min_lower: float | None = None
+    lambda_max_upper: float | None = None
 
     def to_json(self) -> dict:
-        return {k: float(v) for k, v in self.__dict__.items()}
+        return {k: None if v is None else float(v) for k, v in self.__dict__.items()}
 
 
 def jaffard_predict(
@@ -852,20 +1200,22 @@ def jaffard_predict(
         raise ValueError("gamma_prime must lie in (0, gamma)")
     if not 0.0 < gpp < gp:
         raise ValueError("gamma_dprime must lie in (0, gamma_prime)")
-    # depends on the rates alone: a bad rate fails before the O(N^3) work, and
+    # depends on the rates alone: a bad rate fails before AA* is formed, and
     # scipy.special loads before the N x N arrays are live
     p_split = p_series(gp - gpp, beta)
 
     aas = _gram_product(a, False, "AA*")
-    lam = np.linalg.eigvalsh(aas)
-    _require_full_rank(lam, "matrix is singular at truncation")
+    lam_min, lam_max, lower, upper = _gram_extremes(a, False, "AA*", aas)
+    _require_full_rank(lam_min, lam_max, a.n, "matrix is singular at truncation")
     c_class = membership_constant(a, DecayEnvelope("jaffard", gamma=gamma, beta=beta))
     if not math.isfinite(c_class):
         raise ValueError("matrix does not satisfy the declared decay class on the window")
     # AA* is Hermitian positive definite, so ||AA*|| = lambda_max(AA*) and the
-    # contraction R = Id - AA*/||AA*|| has norm r = 1 - lambda_min/lambda_max.
-    norm_aas = float(lam[-1])
-    r = 1.0 - float(lam[0]) / norm_aas
+    # contraction R = Id - AA*/||AA*|| has norm r = 1 - lambda_min/lambda_max:
+    # only the two extremes are read, by bisection on AA*'s b + 1 diagonals
+    # (b = p + q) for a banded A, so no eigensolve of AA* runs.
+    norm_aas = lam_max
+    r = 1.0 - lam_min / norm_aas
     if r >= 1.0:
         raise np.linalg.LinAlgError("matrix is singular at truncation")
     c_aas = membership_constant(
@@ -894,6 +1244,8 @@ def jaffard_predict(
         k_split=k_split,
         gamma1_pred=gamma1,
         c_inv_pred=c_inv,
+        lambda_min_lower=lower,
+        lambda_max_upper=upper,
     )
 
 

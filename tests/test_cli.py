@@ -444,6 +444,53 @@ def test_dual_expand_and_fframe_compute_no_gram_eigenvalue(tmp_path, capsys, mon
     assert outputs("no_eigvalsh") == want
 
 
+def test_report_and_jaffard_on_the_benchmark_systems_compute_no_eigvalsh(tmp_path, capsys, monkeypatch):
+    # At N = 1024 both Grams are narrow bands, E^H E of I + 0.5 S with b = 1 and AA* of
+    # I + 0.3 (S + S^T) with b = 2: their extremes come from bisection on the band,
+    # report forms no N x N Gram, and the outputs are those of a run that may call eigvalsh.
+    n = 1024
+    report = write_config(tmp_path, "report.json", {
+        "spec": {"r": 1, "eps": [0.5], "a": {"constant": 0.5}}, "n": n, "gamma": 2.0,
+        "levels": [0, 1, 2, 3, 4], "trials": 1000, "seed": 3,
+        "weight": {"kind": "subexponential", "beta": 0.5, "gamma": 1.0}})
+    matrix = tmp_path / "tridiag.ffmx"
+    save_matrix(matrix, TruncatedMatrix(np.eye(n) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1)), margin=64), binary=True)
+    jaffard = write_config(tmp_path, "jaffard.json", {"matrix": str(matrix), "beta": 1.0, "gamma": math.log(1 / 0.3)})
+    grams = []
+    gram_product = frames._gram_product
+
+    def counting(m, adjoint_first, name):
+        grams.append(name)
+        return gram_product(m, adjoint_first, name)
+
+    monkeypatch.setattr(frames, "_gram_product", counting)
+
+    def outputs(tag):
+        result = {}
+        for command, cfg in (("report", report), ("jaffard", jaffard)):
+            out = tmp_path / tag / command
+            code = main([command, "--config", cfg, "--out", str(out), "--no-timestamp"])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            result[command] = code, captured.out.replace(str(out), "OUT"), captured.err, files
+        return result
+
+    want = outputs("plain")
+    assert [code for code, *_ in want.values()] == [0, 0]
+    assert grams == ["AA*"]  # jaffard's, for the membership constant of AA*
+
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert outputs("no_eigvalsh") == want
+    bounds = json.loads(want["report"][3]["report.json"])["steps"]["frame_bounds"]
+    assert bounds["lambda_min_lower"] <= bounds["lower"] <= bounds["upper"] <= bounds["lambda_max_upper"]
+    rep = json.loads(want["jaffard"][3]["jaffard.json"])["report"]
+    assert rep["lambda_min_lower"] <= rep["norm_aas"] * (1 - rep["r_contraction"])
+    assert rep["norm_aas"] <= rep["lambda_max_upper"]
+
+
 def test_dual_of_a_gen_system_forms_no_gram_matrix(tmp_path, capsys, monkeypatch):
     # I + a_1 S + a_2 S^2 with |a_1| <= 0.36, |a_2| <= 0.15 is diagonally dominant:
     # Johnson's bound proves full rank, with neither E^H E nor its Cholesky factor.

@@ -187,6 +187,14 @@ def test_a_nan_rate_or_constant_fails_the_checks(call):
         call()
 
 
+def test_convolution_constant_rejects_an_infinite_rate():
+    # "not gamma > 0" let +inf through, and exp(-inf * 0) read nan on the diagonal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            convolution_constant(math.inf, 1.0, 16)
+
+
 def test_membership_identity_under_jaffard():
     a = TruncatedMatrix(np.eye(64))
     for gamma, beta in [(0.5, 1.0), (2.0, 0.5)]:

@@ -577,7 +577,8 @@ def _certified_soundly(e, exact_extremes) -> bool:
         return False
     lam_min, lam_max = exact_extremes()
     assert lam_min > max(frames.RANK_TOL ** 2, e.shape[0] * np.finfo(float).eps * lam_max)
-    assert frames._full_rank(np.linalg.eigvalsh(_gram(e)))
+    lam = np.linalg.eigvalsh(_gram(e))
+    assert frames._full_rank(lam[0], lam[-1], e.shape[0])
     return True
 
 
@@ -663,6 +664,197 @@ def test_full_rank_certificate_charges_each_margin(monkeypatch):
     assert verdict(2.0 * weyl)
     assert not verdict(0.5 * weyl)
     assert not verdict(-1e3 * weyl)
+
+
+# Extreme Gram eigenvalues by bisection on the band.  Each converged point
+# lies within 4 eps ||G|| of the exact eigenvalue, and each proven end on its
+# side of it, against closed forms and 40-digit oracles.
+
+EPS = np.finfo(float).eps
+
+
+def _mp_positive_definite(g, b, shift, sign=1):
+    """Whether sign G - shift I is positive definite, G held as the mpmath lists of its b + 1 lower diagonals."""
+    n = len(g[0])
+    window = [([mp.mpf(0)] * (b + 1), mp.mpf(1))] * b
+    for i in range(n):
+        x, new = sign * mp.re(g[0][i]) - shift, [mp.mpf(0)] * (b + 1)
+        for k in range(b, 0, -1):
+            left, pivot = window[b - k]
+            v = sign * g[k][i]
+            for j in range(k + 1, b + 1):
+                v -= new[j] * mp.conj(left[j - k])
+            new[k] = v = v / pivot
+            x -= abs(v) ** 2
+        if not x > 0:
+            return False
+        window = window[1:] + [(new, mp.sqrt(x))]
+    return True
+
+
+def _exact_gram_band(e, p, q):
+    """The b + 1 lower diagonals of the exact E^H E, b = p + q, at 40 digits."""
+    n, b = e.shape[0], p + q
+    g = [[mp.mpf(0)] * n for _ in range(b + 1)]
+    for i in range(n):
+        for k in range(min(b, i) + 1):  # column i of E is held in rows i - q .. i + p
+            g[k][i] = mp.fsum(mp.conj(mp.mpc(e[r, i])) * mp.mpc(e[r, i - k])
+                              for r in range(max(0, i - q), min(n, i - k + p + 1)))
+    return g
+
+
+def _assert_extremes_against(g, b, extremes):
+    """Each converged point within 4 eps lambda_max of the exact extreme of G, each proven end on its side."""
+    lam_min, lam_max, lower, upper = extremes
+    tol = 4 * EPS * lam_max
+    assert _mp_positive_definite(g, b, mp.mpf(lam_min) - tol)
+    assert not _mp_positive_definite(g, b, mp.mpf(lam_min) + tol)
+    assert _mp_positive_definite(g, b, -(mp.mpf(lam_max) + tol), sign=-1)
+    assert not _mp_positive_definite(g, b, -(mp.mpf(lam_max) - tol), sign=-1)
+    assert _mp_positive_definite(g, b, mp.mpf(lower))
+    assert _mp_positive_definite(g, b, -mp.mpf(upper), sign=-1)
+
+
+# In the last two, the last test that passed lies past the exact extreme: only
+# the charge for the Cholesky's rounding keeps the proven end on its side.
+_TOEPLITZ = [(n, t) for n in (16, 257, 1024, 2048) for t in (0.5, 0.45, 0.3, 0.05)] + [
+    (443, 0.2351825705740887), (459, 0.31998861430957737)]
+
+
+@pytest.mark.parametrize("n,t", _TOEPLITZ)
+def test_band_extremes_of_tridiagonal_toeplitz_match_the_closed_form(n, t):
+    # (1 + t^2) I + t (S + S^T) is the Gram E^T E of the (N+1) x N bidiagonal E = [I; 0] + t [0; I],
+    # with eigenvalues 1 + t^2 + 2 t cos(k pi / (N + 1)); it is stored exactly, so nothing is formed
+    a = 1.0 + t * t
+    bands = np.array([np.full(n, a), np.r_[0.0, np.full(n - 1, t)]])
+    lam_min, lam_max, lower, upper = frames._band_extremes(bands, Fraction(0))
+    with mp.workdps(40):
+        exact = [mp.mpf(a) + 2 * mp.mpf(t) * mp.cos(k * mp.pi / (n + 1)) for k in (n, 1)]
+        for got, want in zip((lam_min, lam_max), exact):
+            assert abs(got - want) <= 4 * EPS * lam_max
+            assert got == pytest.approx(float(want), rel=1e-13)
+        assert lower <= exact[0] and exact[1] <= upper
+
+
+def exact_aas_extremes(n, t=0.3):
+    """The extremes of A A^* for A = I + t (S + S^T), (1 - 2t cos(pi/(N+1)))^2 and (1 + 2t cos(pi/(N+1)))^2, at 40 digits."""
+    with mp.workdps(40):
+        c = 2 * mp.mpf(t) * mp.cos(mp.pi / (n + 1))
+        return (1 - c) ** 2, (1 + c) ** 2
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_pentadiagonal_gram_extremes_match_the_closed_form(n):
+    # A = I + 0.3 (S + S^T) is symmetric, so A A^* = A^H A = A^2, pentadiagonal
+    lo, hi = exact_aas_extremes(n)
+    a = tridiagonal(n, margin=64)
+    rep = jaffard_predict(a, beta=1.0, gamma=math.log(1 / 0.3))
+    system = FrameSystem(a)
+    lam_min, lam_max, lower, upper = system.gram_extremes
+    assert rep.norm_aas == pytest.approx(float(hi), rel=1e-13)
+    assert rep.r_contraction == pytest.approx(float(1 - lo / hi), rel=1e-13)
+    assert frame_bounds(system) == (lam_min, lam_max)
+    for got_lo, got_hi, proven_lo, proven_hi in ((lam_min, lam_max, lower, upper),
+                                                  (rep.norm_aas * (1 - rep.r_contraction), rep.norm_aas,
+                                                   rep.lambda_min_lower, rep.lambda_max_upper)):
+        assert abs(got_lo - lo) <= 4 * EPS * hi and abs(got_hi - hi) <= 4 * EPS * hi
+        assert proven_lo <= lo and hi <= proven_hi
+
+
+_RANDOM_BANDS = [(n, p, q, cplx) for n in (16, 256) for p, q in ((0, 1), (1, 1), (1, 2)) for cplx in (False, True)]
+
+
+@pytest.mark.parametrize("n,p,q,cplx", _RANDOM_BANDS)
+def test_band_extremes_of_random_banded_grams_against_mpmath(n, p, q, cplx):
+    rng = np.random.default_rng(1000 * n + 10 * (p + q) + cplx)
+    i, j = np.indices((n, n))
+    e = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if cplx else 0.0)
+    e = np.where((j - i <= q) & (i - j <= p), e, 0.0)
+    m = TruncatedMatrix(e)
+    assert frames._bandwidths(m) == (p, q)
+    extremes = frames._band_extremes(*frames._banded_gram(m, p, q, True, "the Gram matrix E^H E"))
+    with mp.workdps(40):
+        _assert_extremes_against(_exact_gram_band(e, p, q), p + q, extremes)
+
+
+def test_band_extremes_of_a_diagonal_and_a_singular_band():
+    # a diagonal G has its extremes as entries; a singular one proves a lower end just below 0
+    bands = np.array([[2.0, 5.0, 3.0, 4.0]])
+    lam_min, lam_max, lower, upper = frames._band_extremes(bands, Fraction(0))
+    assert (lam_min, lam_max) == (2.0, 5.0) and lower < 2.0 < 5.0 < upper
+    assert upper - lower < 5.0 - 2.0 + 100 * EPS * 5.0
+    e = np.eye(600)
+    e[4, 4] = 0.0
+    lam_min, lam_max, lower, upper = FrameSystem(e).gram_extremes
+    assert lam_min == 0.0 and lam_max == 1.0 and -1e-14 < lower <= 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="rank-deficient"):
+        canonical_dual(FrameSystem(e))
+
+
+def test_dense_systems_keep_eigvalsh_and_report_no_proven_ends():
+    e = sandwich(96, 1e-3, False, seed=4)
+    lam = np.linalg.eigvalsh(_gram(e))
+    assert FrameSystem(e).gram_extremes == (lam[0], lam[-1], None, None)
+    assert frames._gram_extremes(TruncatedMatrix(e), False, "AA*")[2:] == (None, None)
+
+
+def test_banded_gram_overflow_is_named():
+    e = 1e160 * tridiagonal(512).entries
+    for call in (lambda: frame_bounds(FrameSystem(e)), lambda: canonical_dual(FrameSystem(e))):
+        with pytest.raises(ValueError, match=r"E\^H E overflows the double range"):
+            call()
+    with pytest.raises(ValueError, match=r"AA\* overflows the double range"):
+        jaffard_predict(TruncatedMatrix(e), 1.0, 1.0)
+
+
+def test_banded_certificate_proves_full_rank_with_no_gram_and_no_lapack(monkeypatch):
+    # I + 0.9 S + 0.5 S^2 is not diagonally dominant, so Johnson's bound refuses;
+    # its Gram has 3 diagonals, narrow at N = 600: one test of the band proves full rank
+    n = 600
+    e = np.eye(n) + 0.9 * np.eye(n, k=1) + 0.5 * np.eye(n, k=2)
+    assert not frames._prove_full_rank_from_diagonal(e)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Gram or LAPACK factorization")
+
+    with monkeypatch.context() as patch:
+        for owner, name in ((np.linalg, "cholesky"), (np.linalg, "eigvalsh"), (frames, "_gram_product")):
+            patch.setattr(owner, name, forbidden)
+        assert frames._certify_full_rank(e)
+        dual = canonical_dual(FrameSystem(e))
+    np.testing.assert_allclose(dual.matrix.T @ e, np.eye(n), atol=1e-10)
+    _, upper = frame_bounds(FrameSystem(e))
+    with mp.workdps(40):  # the exact Gram passes the rank rule
+        tau = max(frames.RANK_TOL ** 2, n * EPS * 1.0001 * upper)
+        assert _mp_positive_definite(_exact_gram_band(e, 0, 2), 2, mp.mpf(tau))
+
+
+@settings(max_examples=10, deadline=None)
+@given(t=st.floats(min_value=0.9, max_value=1.0), n=st.integers(16, 128))
+def test_banded_certificate_on_near_singular_shift_against_sturm(t, n):
+    # the test of the band, called directly below the size where the crossover sends E to it
+    e = np.eye(n) + t * np.eye(n, k=1)
+    assert frames._certify_band(TruncatedMatrix(e), 0, 1)
+    lam_min, lam_max = shift_gram_eigenvalue(t, n), shift_gram_eigenvalue(t, n, n)
+    assert lam_min > max(frames.RANK_TOL ** 2, n * EPS * lam_max)
+
+
+def test_banded_certificate_refuses_below_the_rank_rule():
+    # the rule asks lambda_min > max(RANK_TOL^2, N eps lambda_max) = 1.6e-13 at N = 700
+    e = np.eye(700)
+    for c in (1e-10, 1e-7):  # sigma_min = c: lambda_min = 1e-20 and 1e-14
+        e[350, 350] = c
+        assert not frames._certify_full_rank(e)
+        with pytest.raises(np.linalg.LinAlgError):
+            canonical_dual(FrameSystem(e))
+    e[350, 350] = 1e-6  # lambda_min = 1e-12
+    assert frames._certify_full_rank(e)
+
+
+def test_gram_extremes_read_the_shipped_systems_as_narrow():
+    assert frames._narrow_gram(1024, 1, False) and frames._narrow_gram(1024, 2, False)
+    assert not frames._narrow_gram(256, 2, False) and not frames._narrow_gram(96, 95, False)
+    assert frames._narrow_gram(1024, 6, True) and not frames._narrow_gram(1024, 8, True)
 
 
 # The O(N^2) proof from the diagonal (Johnson's bound).  It may refuse, but
