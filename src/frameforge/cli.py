@@ -151,7 +151,7 @@ def _one_of(*allowed):
 def _test_function(desc) -> TestFunction:
     try:
         return TestFunction.from_json(desc)
-    except (AttributeError, KeyError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise InvalidInput(f"bad test function descriptor: {err}") from err
 
 
@@ -173,8 +173,8 @@ class Invocation:
 
     Config fields are read through ``get``, the one place that turns a
     missing or malformed value into ``InvalidInput``.  The inputs that
-    several steps share (the frame system, the seed and the Hermite
-    context) are built on first use, once per invocation.
+    several steps share (the frame system and the seed) are built on
+    first use, once per invocation.
     """
 
     def __init__(self, cfg: dict, out: Path, args: argparse.Namespace):
@@ -311,6 +311,16 @@ def step_expansion(inv: Invocation) -> dict:
     last checkpoint is N, ends below 1e-8 (finite-rank exactness).  The
     caller writes the rows with ``_write_expansion``, which takes them out
     of the result, after any later step that may reject the config.
+
+    A Gaussian or a finite combination has exact coefficients and builds
+    no ``HermiteContext``; only a ``sampled`` function does, for its
+    quadrature, and drops it with the step.  Both thresholds guard
+    rounding, not truncation: the residual at M = N is the dual expansion
+    of f recomputed in floating point, and 1e-8 bounds it; 1e-10 is the
+    rise allowed between checkpoints once a curve has reached that
+    rounding floor.  On the benchmark config at N = 1024 the floor of the
+    default Gaussian's curves is 5.6e-17 at level 0, rising with the
+    level to 4.4e-14 at level 4.
     """
     system = inv.system
     family, beta = inv.grading()
@@ -320,8 +330,8 @@ def step_expansion(inv: Invocation) -> dict:
         checkpoints = sorted({max(4, system.n // 2 ** i) for i in range(6)} | {system.n})
     elif checkpoints != sorted(checkpoints) or not 1 <= checkpoints[0] <= checkpoints[-1] <= system.n:
         raise InvalidInput(f"checkpoints must be sorted within 1..{system.n}")
-    # the q x N Hermite table lives for this projection only, not through the later steps
-    coeffs = project(HermiteContext(nmax=system.n), inv.get("function", TestFunction.gaussian(3.0)), system.n)
+    f = inv.get("function", TestFunction.gaussian(3.0))
+    coeffs = project(HermiteContext(nmax=system.n) if f.kind == "sampled" else None, f, system.n)
     curves = [(k, graded.expansion_error_curve(coeffs, system, family, float(k), checkpoints, beta=beta))
               for k in levels]
     rows = [[m, k, repr(float(err))] for k, errs in curves for m, err in zip(checkpoints, errs)]

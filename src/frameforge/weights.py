@@ -39,6 +39,18 @@ _KINDS = ("moderate", "subexponential", "exponential")
 _FAMILIES = ("poly", "subexp")
 
 
+def _check_finite_number(name: str, value) -> None:
+    """Raise TypeError for a boolean or a non-number, ValueError for an infinity or NaN."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the double range
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Weight:
     """A positive weight function on the real line.
@@ -62,15 +74,7 @@ class Weight:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         for field in fields(self)[1:]:  # every number, also one the kind ignores
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"weight {field.name} must be a number, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an integer past the double range
-                finite = False
-            if not finite:
-                raise ValueError(f"weight {field.name} must be finite, got {value!r}")
+            _check_finite_number(f"weight {field.name}", getattr(self, field.name))
         if self.kind == "moderate":
             if not self.k >= 0:
                 raise ValueError("moderate weight needs k >= 0")

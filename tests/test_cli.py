@@ -815,7 +815,15 @@ def test_report_with_timestamp_differs(tmp_path):
     assert "timestamp" in data
 
 
-def test_report_builds_one_hermite_context(tmp_path, monkeypatch):
+def sampled_gaussian(n, a=3.0):
+    """exp(-a x^2/2) sampled on the nodes of the rule that ``step_expansion`` builds for truncation n."""
+    from scipy.special import roots_hermite
+
+    nodes = roots_hermite(2 * n + 8)[0]
+    return {"kind": "sampled", "grid": nodes.tolist(), "values": np.exp(-0.5 * a * nodes ** 2).tolist()}
+
+
+def test_report_builds_a_hermite_context_only_for_a_sampled_function(tmp_path, monkeypatch):
     built = []
 
     class Counting(cli.HermiteContext):
@@ -831,11 +839,15 @@ def test_report_builds_one_hermite_context(tmp_path, monkeypatch):
         "trials": 5,
         "seed": 2,
     }
-    cfg = write_config(tmp_path, "r.json", cfg_payload)
-    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
-    steps = json.loads((tmp_path / "report.json").read_text())["steps"]
-    assert steps["expansion"]["status"] == steps["fframe"]["status"] == "pass"
-    assert built == [32]
+    for function, want in [(None, []), ({"kind": "hermite_combo", "coeffs": [1.0, 0.5]}, []),
+                           (sampled_gaussian(32), [32])]:
+        built.clear()
+        payload = cfg_payload if function is None else dict(cfg_payload, function=function)
+        cfg = write_config(tmp_path, "r.json", payload)
+        assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
+        steps = json.loads((tmp_path / "report.json").read_text())["steps"]
+        assert steps["expansion"]["status"] == steps["fframe"]["status"] == "pass"
+        assert built == want
 
 
 def test_report_builds_one_perturbed_system(tmp_path, monkeypatch):
@@ -1009,16 +1021,21 @@ assert ("scipy.special" in sys.modules) == loaded, sorted(m for m in sys.modules
 
 def test_subcommands_load_scipy_special_only_where_they_call_it(tmp_path):
     # importing scipy.special takes longer than gen and dual at N=1024 take
-    # for their own work; only expand, jaffard and report call into it
+    # for their own work; only jaffard, and expand or report on a sampled
+    # function, call into it: a Gaussian's coefficients have a closed form
     spec = write_config(tmp_path, "spec.json", {"spec": SPEC, "n": 32, "seed": 1, "levels": [0, 1]})
+    sampled = write_config(tmp_path, "sampled.json", {"spec": SPEC, "n": 32, "levels": [0, 1],
+                                                      "function": sampled_gaussian(32)})
     matrix = jaffard_csv(tmp_path, 32, 0.7)
     stored = write_config(tmp_path, "m.json", {"matrix": matrix, "beta": 1.0, "gamma": 0.7})
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     children = [
         ([], "absent"),
-        ([("gen", spec), ("dual", spec), ("fit", stored), ("schur", stored), ("fframe", spec)], "absent"),
-        ([("jaffard", stored), ("expand", spec)], "loaded"),
+        ([("gen", spec), ("dual", spec), ("fit", stored), ("schur", stored), ("fframe", spec), ("expand", spec)],
+         "absent"),
+        ([("jaffard", stored)], "loaded"),
+        ([("expand", sampled)], "loaded"),
     ]
     for runs, loaded in children:
         argv = [sys.executable, "-c", STARTUP_CHILD, json.dumps(runs), str(tmp_path / "out"), loaded]
@@ -1124,3 +1141,57 @@ def test_each_matrix_has_its_non_zeros_scanned_once(tmp_path, monkeypatch):
     assert main(["jaffard", "--config", jaffard, "--out", str(tmp_path / "jaffard")]) == 0
     # A, then AA* for its membership constant, never the inverse
     assert len(scanned) == 2 and np.array_equal(scanned[0], a) and np.allclose(scanned[1], a @ a.T, rtol=0, atol=1e-15)
+
+
+# Runs report in a fresh interpreter with HermiteContext refusing to be built,
+# and checks that no part of scipy is loaded, scipy.special included.
+NO_CONTEXT_CHILD = """
+import sys
+from frameforge import cli, hermite
+
+def refuse(*args, **kwargs):
+    raise AssertionError("report built a Hermite context")
+
+hermite.HermiteContext.__init__ = refuse
+assert cli.main(["report", "--config", sys.argv[1], "--out", sys.argv[2], "--no-timestamp"]) == 0
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], sorted(m for m in sys.modules if "scipy" in m)
+"""
+
+REPORT_512 = {"spec": SPEC, "n": 512, "trials": 50, "seed": 3}
+
+
+def test_report_on_a_gaussian_builds_no_hermite_context_and_loads_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, "r.json", REPORT_512)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", NO_CONTEXT_CHILD, cfg, str(tmp_path / "child")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "here"), "--no-timestamp"]) == 0
+    for name in ("report.json", "expansion.csv"):
+        assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+
+def test_report_level_four_curve_converges_past_quadrature_noise(tmp_path):
+    # quadrature coefficients of exp(-3x^2/2) held the level-4 curve near 0.14 from M = N/8 on;
+    # the exact ones fall like 2^(-n/2), so by M = N/4 only the rounding floor is left
+    cfg = write_config(tmp_path, "r.json", REPORT_512)
+    assert main(["report", "--config", cfg, "--out", str(tmp_path), "--no-timestamp"]) == 0
+    rows = [row.split(",") for row in (tmp_path / "expansion.csv").read_text().split()[1:]]
+    level4 = {int(m): float(err) for m, k, err in rows if k == "4"}
+    assert level4[128] < 1e-10
+    assert all(err < 1e-10 for m, err in level4.items() if m >= 128)
+
+
+@pytest.mark.parametrize("command", ["expand", "report"])
+@pytest.mark.parametrize("a, message", [
+    (math.nan, "gaussian a must be finite, got nan"), (math.inf, "gaussian a must be finite, got inf"),
+    (-math.inf, "gaussian a must be finite, got -inf"), (True, "gaussian a must be a number, got True"),
+    (0, "gaussian needs a > 0"), (-2.5, "gaussian needs a > 0"),
+])
+def test_bad_gaussian_width_exit_2_and_write_nothing(tmp_path, capsys, command, a, message):
+    cfg = write_config(tmp_path, "bad.json", dict(SMALL_REPORT, function={"kind": "gaussian", "a": a}))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: bad test function descriptor: {message}\n"
+    assert list(out.iterdir()) == []

@@ -273,3 +273,81 @@ def test_classify_inverse_square():
 def test_classify_needs_enough_data():
     with pytest.raises(ValueError):
         classify_coefficient_decay(np.ones(16))
+
+
+# --------------------------------------------------- Gaussian closed form
+
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0, 10.0])
+def test_gaussian_closed_form_against_mpmath(a):
+    # <exp(-a x^2/2), h_{2j}> = pi^(1/4) sqrt(2/(1+a)) r^j sqrt((2j)!)/(2^j j!), r = (1-a)/(1+a), by its
+    # ratio recurrence in 40-digit arithmetic over degrees 0..4100; at a = 0.5 and 3 the tail falls
+    # below the double range (|r|^2050 is 1e-978 and 1e-617), where only an absolute error is kept
+    mp.mp.dps = 40
+    c = project(None, TestFunction.gaussian(a), 4101)
+    assert not np.any(np.isnan(c))
+    assert np.all(c[1::2] == 0.0)
+    big_a = mp.mpf(a)
+    r = (1 - big_a) / (1 + big_a)
+    exact = mp.pi ** mp.mpf(0.25) * mp.sqrt(2 / (1 + big_a))
+    for j in range(2051):
+        err = abs(mp.mpf(c[2 * j]) - exact)
+        if abs(exact) >= TINY:
+            assert err <= 1e-12 * abs(exact), (a, 2 * j)
+        else:
+            assert err <= 2.3e-308, (a, 2 * j)
+        exact *= r * mp.sqrt(mp.mpf(2 * j + 1) / (2 * j + 2))
+    assert math.fsum(c * c) == pytest.approx(TestFunction.gaussian(a).norm_squared(), rel=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(log_a=st.floats(-300.0, 300.0))
+def test_gaussian_closed_form_is_finite_and_within_bessel(log_a):
+    # widths far from 1 keep every entry finite: |r| <= 1, no NaN, and the partial sum of squares
+    # stays below the norm squared (Bessel's inequality)
+    a = 10.0 ** log_a
+    c = project(None, TestFunction.gaussian(a), 512)
+    assert np.all(np.isfinite(c))
+    assert math.fsum(c * c) <= TestFunction.gaussian(a).norm_squared() * (1 + 1e-13)
+
+
+@pytest.mark.parametrize("nmax", [24, 33, 64])
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_sampled_gaussian_quadrature_matches_the_closed_form(nmax, a):
+    # the quadrature path, which only a sampled function still takes, against the exact coefficients;
+    # below nmax = 24 the rule of order 2 nmax + 8 no longer resolves exp(-2x^2) h_k at a = 3
+    # (7.8e-13 at nmax = 16), a truncation of the rule rather than rounding
+    ctx = HermiteContext(nmax=nmax)
+    sampled = TestFunction.sampled(ctx.nodes, np.exp(-0.5 * a * ctx.nodes ** 2))
+    got = project(ctx, sampled, nmax)
+    np.testing.assert_allclose(got, project(None, TestFunction.gaussian(a), nmax), rtol=0.0, atol=1e-14)
+
+
+def test_closed_forms_need_no_context_and_keep_its_range_check(ctx64):
+    np.testing.assert_array_equal(project(None, TestFunction.gaussian(3.0), 64),
+                                  project(ctx64, TestFunction.gaussian(3.0), 64))
+    np.testing.assert_array_equal(project(None, TestFunction.hermite_combo([1.0, 2.0]), 3), [1.0, 2.0, 0.0])
+    with pytest.raises(ValueError, match="1..64"):
+        project(ctx64, TestFunction.hermite_combo([1.0]), 65)
+    with pytest.raises(ValueError, match="truncation"):
+        project(None, TestFunction.gaussian(1.0), 0)
+    with pytest.raises(ValueError, match="needs a HermiteContext"):
+        project(None, TestFunction.sampled(ctx64.nodes, np.exp(-ctx64.nodes ** 2)), 8)
+
+
+@pytest.mark.parametrize("a, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (-math.inf, ValueError),
+    pytest.param(10 ** 400, ValueError, id="int-past-double-range"),
+    (0.0, ValueError), (-1.0, ValueError), (True, TypeError), ("3", TypeError), (None, TypeError),
+])
+def test_gaussian_width_must_be_a_positive_finite_number(a, error):
+    with pytest.raises(error):
+        TestFunction.gaussian(a)
+    with pytest.raises(error):
+        TestFunction.from_json({"kind": "gaussian", "a": a})
+
+
+def test_gaussian_width_is_stored_as_a_float():
+    assert TestFunction.gaussian(3).a == 3.0 and type(TestFunction.gaussian(np.float32(3)).a) is float
