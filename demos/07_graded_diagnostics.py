@@ -18,12 +18,12 @@ from frameforge import (
     property_pg_check,
     standard_sample_set,
 )
-from frameforge.hermite import HermiteContext, TestFunction, project
+from frameforge.hermite import TestFunction, project
 
 n = 256
-ctx = HermiteContext(nmax=n)
 system, _ = build_perturbed_basis(PerturbationSpec.constant([0.5], n=n), n)
-f = project(ctx, TestFunction.gaussian(3.0), n)
+# A Gaussian's coefficients come from their closed form: no quadrature context.
+f = project(None, TestFunction.gaussian(3.0), n)
 
 # Norm profile of a rapidly decreasing object: finite at every level.
 prof = graded_profile(f, "poly", levels=range(6))
@@ -32,7 +32,7 @@ print("  " + "  ".join(f"k={k}: {v:.4g}" for k, v in zip(prof.levels, prof.norms
 
 # Two-sided bounds per level: the proven Schur bracket of the graded frame
 # bounds, and inside it the ratios reached by sample vectors.
-samples = standard_sample_set(ctx, n, count=50, seed=0)
+samples = standard_sample_set(None, n, count=50, seed=0)
 print("\ngraded frame bounds, proven bracket and empirical interval:")
 for k in (0, 2, 4):
     lower, upper = fframe_bounds(system, "poly", k)

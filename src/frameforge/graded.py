@@ -123,13 +123,14 @@ def fframe_bounds_estimate(
     return float(np.min(ratios)), float(np.max(ratios))
 
 
-def standard_sample_set(ctx: HermiteContext, n: int, count: int = 20, seed: int = 0):
+def standard_sample_set(ctx: HermiteContext | None, n: int, count: int = 20, seed: int = 0):
     """Vectors for inner estimates with ``fframe_bounds_estimate``: the reference for the bracket.
 
     Deterministic structured samples plus seeded random decaying vectors.
     The structured part is h_1..h_8 and the projections of the two
-    reference Gaussians; the random part draws coefficients with e^{-n}
-    decay and random signs.
+    reference Gaussians, which ``project`` takes from their closed form, so
+    ``ctx`` may be None; a passed context only checks ``n <= ctx.nmax``.
+    The random part draws coefficients with e^{-n} decay and random signs.
     """
     samples = []
     for j in range(min(8, n)):

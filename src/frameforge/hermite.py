@@ -257,7 +257,11 @@ def project(ctx: HermiteContext | None, f: TestFunction, n: int) -> np.ndarray:
     if ctx is None:
         raise ValueError("a sampled function is projected by quadrature and needs a HermiteContext")
     if f.grid.shape != ctx.nodes.shape or not np.allclose(f.grid, ctx.nodes, rtol=0.0, atol=1e-12):
-        raise ValueError("sampled grid incompatible with the quadrature rule")
+        raise ValueError(
+            f"sampled grid incompatible with the quadrature rule: the grid must be the {ctx.nodes.size}"
+            f" Gauss-Hermite nodes of order {ctx.quad_order} (HermiteContext({ctx.nmax}).nodes) within 1e-12,"
+            f" got {f.grid.size} points"
+        )
     return ctx.basis[:, :n].T @ (ctx.weights * f.values)
 
 

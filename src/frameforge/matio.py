@@ -6,11 +6,11 @@ Two interchangeable matrix encodings:
   matrices write plain floats).  Entries round-trip exactly through the
   shortest-repr float format, except that a negative-zero imaginary part
   is written as ``+0.0j``.  Zero entries are written as the one token
-  ``0.0`` (real) or ``0.0+0.0j`` (complex), and the writer and the reader
-  do per-entry Python work only for the other cells: the reader finds the
-  line breaks, the commas and the zero tokens with numpy over the file's
-  bytes, so a banded matrix costs one vectorized pass over the file plus
-  Python work that scales with its non-zero entries.
+  ``0.0`` (real) or ``0.0+0.0j`` (complex).  The writer repeats each row's
+  leading and trailing runs of that token as strings; the reader finds the
+  line breaks and the runs with numpy over the file's bytes.  A matrix
+  costs one vectorized pass over its bytes plus Python work per row and
+  per cell between the runs: a banded one little, a dense one what it did.
 * Binary: 16-byte header (magic ``FFMX``, little-endian u32 N, u32 flags,
   4 reserved bytes) followed by row-major little-endian float64 data;
   flag bit 0 marks complex data stored as interleaved (re, im) pairs.  A
@@ -63,21 +63,20 @@ def _format_entry(z, complex_entries: bool) -> str:
 
 
 def _format_csv(entries, complex_entries: bool) -> str:
-    """CSV text of a square matrix; only cells whose bits are not all zero are formatted."""
+    """CSV text of a square matrix; only the cells from each row's first to last non-zero are formatted."""
     data = np.ascontiguousarray(entries, dtype=complex if complex_entries else float)
     n = data.shape[0]
-    # Testing the bit patterns, not ``!= 0``, keeps -0.0 off the zero token.
+    # Bit patterns, not ``!= 0``, keep -0.0 off the zero token; an all-zero row formats its last cell.
     bits = data.view(np.int64)
     nonzero = (bits[:, 0::2] | bits[:, 1::2]) != 0 if complex_entries else bits != 0
+    first = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), n - 1)
+    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
     zero = _format_entry(0.0, complex_entries)
     lines = []
-    for row, flags in zip(data, nonzero):
-        cells = [zero] * n
-        cols = np.flatnonzero(flags)
-        for col, z in zip(cols.tolist(), row[cols].tolist()):
-            cells[col] = _format_entry(z, complex_entries)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    for row, f, l in zip(data, first.tolist(), last.tolist()):
+        cells = ",".join([_format_entry(z, complex_entries) for z in row[f : l + 1].tolist()])
+        lines.append((zero + ",") * f + cells + ("," + zero) * (n - 1 - l) + "\n")
+    return "".join(lines)
 
 
 def _write_sidecar(path, n: int, margin: int, complex_entries: bool, extra=None):
@@ -148,28 +147,37 @@ def _line_bounds(b: np.ndarray, ascii_only: bool) -> tuple[np.ndarray, np.ndarra
     return np.concatenate([[0], pos + size]), np.concatenate([pos, [b.size]])
 
 
-def _zero_cells(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Which cells data[starts[k]:ends[k]] are exactly a zero token the writer emits.
+def _zero_runs(seg: np.ndarray, starts: np.ndarray, ends: np.ndarray, token: bytes):
+    """Cells in the leading and trailing runs of ``token`` of each row seg[starts[k]:ends[k]].
 
-    A cell of a token's length is compared in one unaligned load of 8, 4,
-    2 or 1 bytes per piece of the token ("0.0+0.0j" is one 8-byte load,
-    "0.0" a 2-byte and a 1-byte load), read through a view of ``data`` that
-    starts an integer at every byte offset.
+    A leading run repeats ``token + ","``, a trailing one ``"," + token`` and
+    leaves at least a token's length after the leading one, so a row of
+    tokens alone keeps its last token between them.  A run is exact when its
+    first (or last) token matches and no break, a byte p with seg[p] !=
+    seg[p + L], L = len(token) + 1, lies inside it.  The breaks are looked
+    up by 8-byte words, after 8 bytes of breaks that end every search.
     """
-    zero = np.zeros(starts.size, dtype=bool)
-    for token in (_format_entry(0.0, False).encode(), _format_entry(0.0, True).encode()):
-        fits = np.flatnonzero(ends - starts == len(token))
-        if not fits.size:
-            continue
-        match, at, offset = np.ones(fits.size, dtype=bool), starts[fits], 0
-        for width in (8, 4, 2, 1):
-            while len(token) - offset >= width:
-                piece = int.from_bytes(token[offset : offset + width], "little")
-                loads = np.ndarray((len(data) - width + 1,), dtype=f"<u{width}", buffer=data, strides=(1,))
-                match &= loads[at + offset] == piece
-                offset += width
-        zero[fits] = match
-    return zero
+    period, eight = len(token) + 1, np.arange(8)
+    head, tail = (np.frombuffer(unit, np.uint8) for unit in (token + b",", b"," + token))
+    lead = (seg[np.minimum(starts[:, None] + np.arange(period), seg.size - 1)] == head).all(axis=1)
+    trail = (seg[np.maximum(ends[:, None] - period + np.arange(period), 0)] == tail).all(axis=1)
+    if not (lead.any() or trail.any()):
+        return np.zeros_like(starts), np.zeros_like(starts)
+    starts, ends = starts + 8, ends + 8  # offsets into ``breaks``; every byte past the test is a break
+    breaks = np.ones(8 * (seg.size // 8 + 3), dtype=bool)
+    np.not_equal(seg[:-period], seg[period:], out=breaks[8 : 8 + max(seg.size - period, 0)])
+    words = np.flatnonzero(breaks.view(np.uint64) != 0)
+    near = breaks[starts[:, None] + eight]  # the first break from each row's start
+    w = 8 * words[np.searchsorted(words, (starts + 8) // 8)]
+    first = np.where(near.any(axis=1), starts + near.argmax(axis=1), w + breaks[w[:, None] + eight].argmax(axis=1))
+    x = ends - period  # the last break before each row's last comma and token
+    near = breaks[x[:, None] - 8 + eight]
+    w = 8 * words[np.searchsorted(words, (x - 9) // 8, side="right") - 1] + 7
+    last = w - breaks[w[:, None] - eight].argmax(axis=1)
+    last = np.where(near.any(axis=1), x - 1 - near[:, ::-1].argmax(axis=1), last)
+    lead_cells = np.where(lead, (np.minimum(first + period, ends) - starts) // period, 0)
+    room = (ends - starts + 1) // period - 1 - lead_cells
+    return lead_cells, np.where(trail, np.minimum((ends - np.maximum(last + 1, starts)) // period, room), 0)
 
 
 def _parse_csv(blob: bytes):
@@ -181,8 +189,9 @@ def _parse_csv(blob: bytes):
     emits is 0; every other cell goes through ``complex(cell.strip())``, in
     row-major order, so a malformed cell raises before a later row of the
     wrong width.  A ``j`` or ``J`` anywhere makes the matrix complex.  numpy
-    finds the line breaks, the commas and the zero tokens over the bytes,
-    in blocks of rows, so only the other cells cost Python work.
+    finds the line breaks and, in blocks of rows, the runs of the writer's
+    zero token that open and close each row; only the bytes between cost
+    Python work.
     """
     ascii_only = blob.isascii()
     data = blob if ascii_only else blob.decode("utf-8").strip().encode("utf-8")
@@ -196,23 +205,21 @@ def _parse_csv(blob: bytes):
     b = np.frombuffer(data, np.uint8)[lo:hi]
     line_starts, line_ends = _line_bounds(b, ascii_only)
     width = data.count(b",", lo + line_starts[0], lo + line_ends[0]) + 1
+    complex_entries = b"j" in data or b"J" in data
+    token = _format_entry(0.0, complex_entries).encode()
+    zeros = {_format_entry(0.0, False), _format_entry(0.0, True)}
+    period = len(token) + 1
     arr = np.zeros((line_starts.size, width), dtype=complex)
     for r0 in range(0, line_starts.size, _ROW_BLOCK):
         starts, ends = line_starts[r0 : r0 + _ROW_BLOCK], line_ends[r0 : r0 + _ROW_BLOCK]
-        commas = np.flatnonzero(b[starts[0] : ends[-1]] == ord(",")) + starts[0]
-        cells = np.searchsorted(commas, ends) - np.searchsorted(commas, starts) + 1
-        wrong = np.flatnonzero(cells != width)
-        rows = wrong[0] if wrong.size else starts.size
-        commas = commas[: rows * (width - 1)].reshape(rows, width - 1)
-        cell_starts = lo + np.concatenate([starts[:rows, None], commas + 1], axis=1).ravel()
-        cell_ends = lo + np.concatenate([commas, ends[:rows, None]], axis=1).ravel()
-        parsed = np.flatnonzero(~_zero_cells(data, cell_starts, cell_ends))
-        spans = zip(cell_starts[parsed].tolist(), cell_ends[parsed].tolist())
-        values = [complex(data[s:e].decode("utf-8").strip()) for s, e in spans]
-        arr[r0 : r0 + rows].reshape(-1)[parsed] = values
-        if wrong.size:
-            raise ValueError(f"row {r0 + rows + 1} has {cells[rows]} cells, row 1 has {width}")
-    return arr if b"j" in data or b"J" in data else arr.real.copy()
+        runs = _zero_runs(b[starts[0] : ends[-1]], starts - starts[0], ends - starts[0], token)
+        rows = zip((starts + lo).tolist(), (ends + lo).tolist(), *(r.tolist() for r in runs))
+        for row, (start, end, lead, trail) in enumerate(rows, start=r0):
+            cells = data[start + lead * period : end - trail * period].decode("utf-8").split(",")
+            if lead + len(cells) + trail != width:
+                raise ValueError(f"row {row + 1} has {lead + len(cells) + trail} cells, row 1 has {width}")
+            arr[row, lead : lead + len(cells)] = [0 if cell in zeros else complex(cell.strip()) for cell in cells]
+    return arr if complex_entries else arr.real.copy()
 
 
 def _parse_binary(blob: bytes):

@@ -850,6 +850,20 @@ def test_report_builds_a_hermite_context_only_for_a_sampled_function(tmp_path, m
         assert built == want
 
 
+def test_sampled_function_off_the_rule_names_it(tmp_path, capsys):
+    # N = 32: the rule is the 72 nodes of order 2N + 8; expand exits 2, report fails the step
+    function = sampled_gaussian(32)
+    function["grid"] = [x + 1e-9 for x in function["grid"]]
+    cfg = write_config(tmp_path, "off.json", dict(SMALL_REPORT, function=function))
+    message = ("sampled grid incompatible with the quadrature rule: the grid must be the 72 Gauss-Hermite nodes"
+               " of order 72 (HermiteContext(32).nodes) within 1e-12, got 72 points")
+    assert main(["expand", "--config", cfg, "--out", str(tmp_path / "e")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert main(["report", "--config", cfg, "--out", str(tmp_path / "r"), "--no-timestamp"]) == 1
+    steps = json.loads((tmp_path / "r" / "report.json").read_text())["steps"]
+    assert steps["expansion"] == {"status": "fail", "error": message}
+
+
 def test_report_builds_one_perturbed_system(tmp_path, monkeypatch):
     # example_inequalities samples the system that the other steps read; it built an N x N copy of its own
     built = []

@@ -208,6 +208,19 @@ def test_fframe_bounds_match_per_sample_loop(ctx256, family, k):
     assert (lo, hi) == (min(ratios), max(ratios))
 
 
+def test_standard_sample_set_needs_no_hermite_context(ctx256, monkeypatch):
+    # its two Gaussians come from their closed form, so no quadrature table is built
+    with_context = standard_sample_set(ctx256, 256, count=20, seed=7)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a HermiteContext was built")
+
+    monkeypatch.setattr(HermiteContext, "__init__", refuse)
+    without = standard_sample_set(None, 256, count=20, seed=7)
+    assert len(without) == len(with_context)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(without, with_context))
+
+
 def test_fframe_bounds_zero_norm_sample_rejected():
     with pytest.raises(ValueError):
         fframe_bounds_estimate(identity_frame(8), [np.zeros(8)], "poly", 1)

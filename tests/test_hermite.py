@@ -208,6 +208,17 @@ def test_projection_sampled_grid_checked(ctx64):
         project(ctx64, TestFunction.sampled(ctx64.nodes + 0.1, vals), 32)
 
 
+def test_sampled_grid_error_names_the_expected_rule(ctx64):
+    # the grid must be the nodes of HermiteContext(nmax), 2 nmax + 8 of them
+    message = r"the grid must be the 136 Gauss-Hermite nodes of order 136 \(HermiteContext\(64\)\.nodes\) within 1e-12"
+    for grid in (ctx64.nodes + 1e-11, ctx64.nodes[:-1]):
+        with pytest.raises(ValueError, match=message + f", got {grid.size} points"):
+            project(ctx64, TestFunction.sampled(grid, np.exp(-grid ** 2)), 8)
+    near = ctx64.nodes + 5e-13
+    np.testing.assert_allclose(project(ctx64, TestFunction.sampled(near, np.exp(-near ** 2)), 8),
+                               project(None, TestFunction.gaussian(2.0), 8), rtol=0.0, atol=1e-11)
+
+
 def test_projection_truncation_range(ctx64):
     with pytest.raises(ValueError):
         project(ctx64, TestFunction.gaussian(1.0), 65)
